@@ -11,14 +11,19 @@ channel and report
   clock (``Simulator.events_processed`` over the build+run wall time);
 * ``sim_bytes_per_sec`` — simulated payload bytes moved per second of
   wall clock;
-* ``wall_s``            — the raw wall time.
+* ``wall_s``            — the raw wall time;
+* ``fluid_resolves_per_transfer`` — fluid allocation passes per
+  transfer (``FluidNetwork.resolves / .transfers``, both recorded as
+  counters): an exact, machine-independent count.
 
 The committed baseline (``benchmarks/baselines/BENCH_simspeed.json``)
-gates **only** ``events_per_sec``, at rtol=0.15.  Baseline values are
-set to roughly half of a warm development-machine measurement so the
-gate trips on structural regressions (reverting the calendar queue,
-the vectorized fluid solver, or the GC pause each costs 3-15x) rather
-than on runner-to-runner hardware variance; ``wall_s`` and
+gates ``events_per_sec`` and ``fluid_resolves_per_transfer``, at
+rtol=0.15.  The ``events_per_sec`` baselines are set to roughly half
+of a warm development-machine measurement so the gate trips on
+structural regressions (reverting the calendar queue, the once-per-
+timestamp fluid re-solve, or the GC pause each costs 3-15x) rather
+than on runner-to-runner hardware variance; the ratio is exact, so
+its baseline is the measured value.  ``wall_s`` and
 ``sim_bytes_per_sec`` ride along in the artifact for trend-watching.
 Each workload additionally asserts a generous absolute wall budget —
 the "a 512-rank collective must finish in minutes, not hours"
@@ -86,6 +91,11 @@ def _record(rec, workload, world, wall, payload_bytes):
             counters={"events": ev})
     rec.add(label, "sim_bytes_per_sec", NRANKS, payload_bytes / wall)
     rec.add(label, "wall_s", NRANKS, wall)
+    net = world.cluster.net
+    rec.add(label, "fluid_resolves_per_transfer", NRANKS,
+            net.resolves / net.transfers,
+            counters={"transfers": net.transfers,
+                      "resolves": net.resolves})
 
 
 def test_ring_512(simspeed_recorder):
@@ -115,8 +125,8 @@ def test_allreduce_512(simspeed_recorder):
 
 def test_regression_gate(simspeed_recorder):
     """Must run last in this file: gates everything measured above."""
-    # two workloads x three metrics
-    assert len(simspeed_recorder.entries) == 6
+    # two workloads x four metrics
+    assert len(simspeed_recorder.entries) == 8
     problems = simspeed_recorder.gate(rtol=0.15)
     if problems is None:
         pytest.skip("no committed BENCH_simspeed.json baseline yet")

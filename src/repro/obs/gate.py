@@ -46,10 +46,14 @@ HIGHER_IS_BETTER = {
     # simulator-speed suite (BENCH_simspeed.json): engine callbacks
     # executed and simulated payload bytes moved per second of wall
     # clock, plus the raw wall time of each workload (recorded for the
-    # artifact; the committed baseline gates only events_per_sec).
+    # artifact; of these the committed baseline gates events_per_sec).
     "events_per_sec": True,
     "sim_bytes_per_sec": True,
     "wall_s": False,
+    # fluid allocation passes per transfer (FluidNetwork.resolves /
+    # .transfers): an exact count, so unlike the host-clock metrics
+    # above it gates tightly on any machine.
+    "fluid_resolves_per_transfer": False,
     # memory-footprint suite (BENCH_memscale.json): registered
     # (pinned) bytes per rank, QPs created, and channel connections
     # established for a given world — the quantities the srq/mux/

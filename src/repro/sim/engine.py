@@ -41,6 +41,21 @@ of the queued entries are dead the queue compacts itself, so a
 workload that schedules and cancels far-future timers keeps a bounded
 queue.
 
+The settle phase
+----------------
+:meth:`Simulator.at_settle` registers a zero-argument hook that runs
+once after every entry at the current timestamp has been dequeued and
+before the clock moves (the delta-cycle boundary of an HDL simulator).
+It is how a model that many same-time callbacks poke — the fluid
+network re-solving its rates — does the work once per timestamp
+instead of once per poke.  Hooks are not events: they take no handle,
+draw no tie-break priority and do not count in ``events_processed``.
+If a hook schedules work at the current timestamp the drain resumes,
+and hooks registered meanwhile run after it.  ``run``, ``step`` and
+``peek`` all flush owed hooks before looking past the current
+timestamp (and before the drained-queue deadlock check), so a hook
+registered outside ``run()`` is never lost.
+
 Example
 -------
 >>> sim = Simulator()
@@ -407,6 +422,8 @@ class Simulator:
         #: total callbacks executed (cancelled entries excluded) —
         #: the numerator of the simspeed benchmark's events/sec.
         self.events_processed = 0
+        #: settle hooks owed at the current timestamp (see at_settle)
+        self._settle: List[Callable[[], None]] = []
 
     # -- scheduling primitives ------------------------------------------
     def _schedule_at(self, when: float, fn: Callable, *args: Any) -> _Handle:
@@ -447,6 +464,13 @@ class Simulator:
     def call_in(self, delay: float, fn: Callable, *args: Any) -> _Handle:
         """Public: run ``fn(*args)`` after ``delay`` seconds."""
         return self._schedule_at(self.now + delay, fn, *args)
+
+    def at_settle(self, fn: Callable[[], None]) -> None:
+        """Public: run ``fn()`` once the current timestamp has no
+        entries left to dequeue, before the clock moves.  Not an
+        event: no handle, no tie-break draw, not counted in
+        ``events_processed``."""
+        self._settle.append(fn)
 
     # -- awaitable factories ---------------------------------------------
     def event(self) -> Event:
@@ -533,8 +557,19 @@ class Simulator:
         self._cancelled_events -= removed
 
     # -- execution -------------------------------------------------------
+    def _run_settle(self) -> None:
+        """Run the owed settle hooks; ones they register wait for the
+        next flush (after any same-time work they scheduled)."""
+        hooks, self._settle = self._settle, []
+        for fn in hooks:
+            fn()
+
     def step(self) -> None:
-        """Execute the next scheduled callback."""
+        """Execute the next scheduled callback (after any settle
+        hooks owed before the clock may move to it)."""
+        while self._settle and (not self._times
+                                or self._times[0] > self.now):
+            self._run_settle()
         t = self._times[0]
         bucket = self._buckets[t]
         if self._tie_rng is None:
@@ -562,7 +597,12 @@ class Simulator:
         """
         times = self._times
         fifo = self._tie_rng is None
-        while times:
+        while True:
+            if self._settle and (not times or times[0] > self.now):
+                self._run_settle()
+                continue
+            if not times:
+                break
             t = times[0]
             if until is not None and t > until:
                 self.now = until
@@ -648,7 +688,18 @@ class Simulator:
                 del self._buckets[t]
 
     def peek(self) -> float:
-        """Time of the next scheduled callback (``inf`` if none)."""
+        """Time of the next scheduled callback (``inf`` if none).
+        Settle hooks owed before the clock may move there run first:
+        they can schedule earlier work."""
+        while True:
+            t = self._next_live_time()
+            if not self._settle or t <= self.now:
+                return t
+            self._run_settle()
+
+    def _next_live_time(self) -> float:
+        """Reap cancelled entries off the front of the queue; time of
+        the first live one (``inf`` if none)."""
         hidx = 0 if self._tie_rng is None else 2
         while self._times:
             t = self._times[0]

@@ -26,31 +26,59 @@ mechanically rather than by curve fitting:
   memory bus, which caps the pipelined design near ``bus_bw / 3``;
 * two MPI streams over one link each get half the wire.
 
-Solvers
--------
-The default solver (``solver="vector"``) runs the progressive-filling
-loop over numpy arrays: one division and one argmin across all
-resources per filling level, plus a *zero-cascade* that retires every
-already-saturated resource in a single pass instead of one loop
-iteration each.  It is bit-for-bit equivalent to the historical
-per-dict scalar loop, which is kept as ``solver="scalar"`` purely as a
-reference implementation for the equivalence suite
-(``tests/test_fluid_vector_equivalence.py``); simulated physics must
-not depend on which solver ran.
+One re-solve per timestamp
+--------------------------
+Symmetric ranks start and finish their flows at the *same* simulated
+timestamp, and between two such changes ``dt == 0``: no byte moves, so
+every allocation but the last one at that timestamp is discarded
+unread.  ``transfer()`` and the completion wakeup therefore only mark
+the network dirty (cancelling the now-stale wakeup, as the eager code
+did) and register one settle hook with the engine
+(:meth:`Simulator.at_settle`); ``_reallocate()`` runs once, after the
+timestamp's last callback and before the clock moves.  The allocation
+is a pure function of the active set (order, ``remaining``,
+capacities), which coalescing does not alter, so rates, completion
+times and the wakeup time are the ones the eager schedule produced.
+``_advance()`` only ever integrates over ``dt > 0``, i.e. after a
+settle, so it always sees final rates.  ``active_flows`` — the one
+public reader of rates — settles first if dirty.  The one place where
+an intermediate allocation *is* observable — a sub-byte residue that
+``_reallocate()`` completes on the spot — is settled change by change
+(see :meth:`FluidNetwork._mark_dirty`).
+``tests/test_fluid_coalescing_equivalence.py`` holds the eager
+reference and the ``==`` comparison; docs/DESIGN.md names the three
+places where event *order* could in principle differ.
 
-Equivalence rests on three facts, each locked down by tests:
+Allocators
+----------
+Two implementations of the same progressive-filling arithmetic, picked
+per re-solve from the size of the active set
+(``_SCALAR_MAX_FLOWS``; measured table in docs/DESIGN.md):
+
+* small sets take the *scalar fold* — the historical per-dict loop,
+  whose cost tracks the handful of resources in play and which pays
+  no numpy call overhead;
+* larger sets take the *vector solver*: one division and one argmin
+  across all resources per filling level, plus a *zero-cascade* that
+  retires every already-saturated resource in a single pass instead
+  of one loop iteration each.
+
+The two are bit-for-bit equivalent (``==`` on every rate and
+completion time, ``tests/test_fluid_vector_equivalence.py``), so
+simulated physics cannot depend on which one ran.  Equivalence rests
+on three facts, each locked down by tests:
 
 * elementwise array arithmetic performs the same IEEE-754 operations
   the scalar loop performed per resource, in an order-insensitive
   pattern (no cross-element dependencies);
-* column order replicates the legacy weight-dict insertion order
-  (first appearance while scanning active flows in order), so the
-  bottleneck tie-break — first within-epsilon candidate wins — picks
-  the same resource; near-ties inside the epsilon band fall back to an
-  exact replica of the scalar fold;
+* column order replicates the scalar fold's weight-dict insertion
+  order (first appearance while scanning active flows in order), so
+  the bottleneck tie-break — first within-epsilon candidate wins —
+  picks the same resource; near-ties inside the epsilon band fall back
+  to an exact replica of the scalar fold;
 * in-practice cost weights are small integers, so regrouped sums are
   exact; non-integer weights take a scalar accumulation path that
-  preserves the legacy operation order.
+  preserves the fold's operation order.
 """
 
 from __future__ import annotations
@@ -65,6 +93,11 @@ from .engine import Event, Simulator
 __all__ = ["FluidResource", "Flow", "FluidNetwork"]
 
 _EPS = 1e-15
+
+#: active sets of at most this many flows are allocated by the scalar
+#: fold, larger ones by the vector solver.  Both give the same floats;
+#: this is purely the measured host-cost crossover (docs/DESIGN.md).
+_SCALAR_MAX_FLOWS = 8
 
 #: stable creation-order ids for resources/flows: dict keys derived
 #: from them are reproducible across runs, unlike ``id()``.
@@ -160,21 +193,23 @@ class Flow:
 class FluidNetwork:
     """Tracks active flows over a set of resources and computes exact
     completion times under max-min fair sharing.
-
-    ``solver`` selects the allocation implementation: ``"vector"``
-    (default, numpy batch) or ``"scalar"`` (the historical loop, kept
-    as a reference for equivalence testing).  Both produce bit-for-bit
-    identical rates and completion times.
     """
 
-    def __init__(self, sim: Simulator, solver: str = "vector"):
-        if solver not in ("vector", "scalar"):
-            raise ValueError(f"unknown solver {solver!r}")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.solver = solver
         self._active: List[Flow] = []
         self._wake_handle: Optional[Any] = None
         self._last_update = 0.0
+        #: the active set changed at this timestamp and the settle
+        #: hook that re-solves it is registered but has not run
+        self._dirty = False
+        #: the advance to this timestamp left some flow with less than
+        #: a byte to go (see _mark_dirty)
+        self._residue = False
+        #: exact counters: ``transfer()`` calls and allocation passes
+        #: (``_reallocate()`` calls)
+        self.transfers = 0
+        self.resolves = 0
 
     # -- public API ------------------------------------------------------
     def transfer(self, nbytes: float,
@@ -184,6 +219,7 @@ class FluidNetwork:
         payload byte has moved.  Zero-byte transfers complete at once.
         """
         flow = Flow(nbytes, route, label)
+        self.transfers += 1
         flow.done = self.sim.event()
         flow.started_at = self.sim.now
         if flow.remaining <= _EPS:
@@ -196,11 +232,13 @@ class FluidNetwork:
             res.flows.append(flow)
             if res._busy_since is None:
                 res._busy_since = self.sim.now
-        self._reallocate()
+        self._mark_dirty()
         return flow.done
 
     @property
     def active_flows(self) -> List[Flow]:
+        """The in-flight flows, rates current."""
+        self._settle()
         return list(self._active)
 
     # -- internals ---------------------------------------------------------
@@ -210,9 +248,10 @@ class FluidNetwork:
         now = self.sim.now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._active:
+        if dt <= 0:
             return
         finished: List[Flow] = []
+        residue = False
         for flow in self._active:
             moved = flow.rate * dt
             flow.remaining -= moved
@@ -224,6 +263,9 @@ class FluidNetwork:
             if flow.remaining <= max(1e-6, _EPS * flow.nbytes):
                 flow.remaining = 0.0
                 finished.append(flow)
+            elif flow.remaining < 1.0:
+                residue = True
+        self._residue = residue
         for flow in finished:
             self._detach(flow)
             flow.finished_at = now
@@ -237,18 +279,41 @@ class FluidNetwork:
                 res.busy_time += self.sim.now - res._busy_since
                 res._busy_since = None
 
-    def _reallocate(self) -> None:
-        """Progressive-filling max-min allocation, then schedule the
-        next completion wakeup."""
+    def _mark_dirty(self) -> None:
+        """The active set changed: the pending wakeup is stale, and
+        the rates are re-solved once this timestamp has settled.
+
+        One case makes an intermediate allocation observable: a flow
+        so close to done that ``_reallocate`` completes it on the spot
+        (``now + remaining / rate <= now``), a test that depends on
+        the rates of the allocation it runs under.  Payloads are whole
+        bytes, so only a flow the advance left with a sub-byte
+        remainder can be that close; a timestamp that has one
+        re-solves at every change, exactly as the eager code did."""
         if self._wake_handle is not None:
             self._wake_handle.cancel()
             self._wake_handle = None
+        if self._residue:
+            self._reallocate()
+        elif not self._dirty:
+            self._dirty = True
+            self.sim.at_settle(self._settle)
+
+    def _settle(self) -> None:
+        if self._dirty:
+            self._dirty = False
+            self._reallocate()
+
+    def _reallocate(self) -> None:
+        """Progressive-filling max-min allocation, then schedule the
+        next completion wakeup."""
+        self.resolves += 1
         if not self._active:
             return
-        if self.solver == "vector":
-            self._alloc_vector()
-        else:
+        if len(self._active) <= _SCALAR_MAX_FLOWS:
             self._alloc_scalar()
+        else:
+            self._alloc_vector()
 
         # next completion
         next_done = float("inf")
@@ -423,10 +488,11 @@ class FluidNetwork:
             n_unfixed -= freeze_col(j0, level)
             w[j0] = 0.0
 
-    # -- scalar solver (test-only reference) -------------------------------
+    # -- scalar fold -------------------------------------------------------
     def _alloc_scalar(self) -> None:
-        """The historical dict-based progressive-filling loop, kept as
-        the reference implementation for the equivalence suite."""
+        """The dict-based progressive-filling loop: the allocator for
+        small active sets, and the arithmetic :meth:`_alloc_vector` is
+        pinned against."""
         # residual capacity and unfixed cost-weight per resource
         residual: Dict[int, float] = {}
         weight: Dict[int, float] = {}
@@ -487,7 +553,7 @@ class FluidNetwork:
     def _wakeup(self) -> None:
         self._wake_handle = None
         self._advance()
-        self._reallocate()
+        self._mark_dirty()
 
     # -- stats ---------------------------------------------------------
     def utilization(self, res: FluidResource, horizon: float) -> float:

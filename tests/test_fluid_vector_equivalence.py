@@ -1,25 +1,41 @@
-"""Vectorized fluid solver vs the scalar reference: bit-for-bit.
+"""Vector fluid solver vs the scalar fold: bit-for-bit.
 
-The max-min fair progressive-filling solver in
-:mod:`repro.sim.fluid` was vectorized with numpy
-(``solver="vector"``, the default); the historical dict-based loop is
-kept as ``solver="scalar"`` purely as a reference implementation.
-Simulated physics must not depend on which solver ran, and "must not"
-here means *exact float equality* — completion times feed the golden
-replay digests, so even a 1-ulp drift would invalidate the corpus.
+:mod:`repro.sim.fluid` allocates small active sets with the dict-based
+scalar fold and larger ones with the numpy vector solver, cutting over
+at the module constant ``_SCALAR_MAX_FLOWS``.  Simulated physics must
+not depend on which allocator ran, and "must not" here means *exact
+float equality* — completion times feed the golden replay digests, so
+even a 1-ulp drift would invalidate the corpus.
 
 The suite drives randomized sets of concurrent transfers — shared
 bottlenecks, repeated resources on one route, staggered start times,
 integer and non-integer cost weights — through two identically
-scheduled simulations, one per solver, and compares every completion
-time and every intermediate rate with ``==``.
+scheduled simulations, each pinned to one allocator by moving the
+cutover to 0 (always vector) or out of reach (always scalar), and
+compares every completion time and every intermediate rate with
+``==``.
 """
 
+import contextlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import fluid
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidNetwork, FluidResource
+
+#: ``_SCALAR_MAX_FLOWS`` values that pin one allocator for every set
+CUTOVER = {"vector": 0, "scalar": 10**9}
+
+
+@contextlib.contextmanager
+def pinned(solver):
+    """Route every re-solve inside the block to one allocator."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fluid, "_SCALAR_MAX_FLOWS", CUTOVER[solver])
+        yield
 
 # realistic capacity scales (memory buses, IB links) plus awkward
 # non-round values that exercise the float arithmetic
@@ -50,11 +66,11 @@ def _scenarios(draw):
     return caps, transfers
 
 
-def _run(solver, caps, transfers):
+def _run(caps, transfers):
     """Replay one scenario; returns per-transfer completion times and
     the sequence of rate vectors observed at each start instant."""
     sim = Simulator()
-    net = FluidNetwork(sim, solver=solver)
+    net = FluidNetwork(sim)
     resources = [FluidResource(f"r{i}", c) for i, c in enumerate(caps)]
     finished = {}
     rate_trace = []
@@ -77,37 +93,68 @@ def _run(solver, caps, transfers):
 @given(_scenarios())
 def test_solvers_bitwise_identical(scenario):
     caps, transfers = scenario
-    done_v, rates_v = _run("vector", caps, transfers)
-    done_s, rates_s = _run("scalar", caps, transfers)
+    with pinned("vector"):
+        done_v, rates_v = _run(caps, transfers)
+    with pinned("scalar"):
+        done_s, rates_s = _run(caps, transfers)
     assert done_v == done_s  # exact float equality, no tolerance
     assert rates_v == rates_s
 
 
-def test_scalar_solver_is_selectable():
+@pytest.fixture
+def alloc_calls(monkeypatch):
+    """Spy on both allocators: ``(name, active-set size)`` per call."""
+    calls = []
+    for name in ("_alloc_vector", "_alloc_scalar"):
+        real = getattr(FluidNetwork, name)
+        monkeypatch.setattr(
+            FluidNetwork, name,
+            lambda self, name=name, real=real: (
+                calls.append((name, len(self._active))), real(self))[1])
+    return calls
+
+
+def _staggered_finishes(nflows):
+    """``nflows`` flows of distinct sizes on one link: one finishes per
+    wakeup, so the active set shrinks by one at every re-solve."""
     sim = Simulator()
-    net = FluidNetwork(sim, solver="scalar")
-    assert net.solver == "scalar"
-    res = FluidResource("link", 1e9)
-    done = net.transfer(1e6, [(res, 1.0)])
+    net = FluidNetwork(sim)
+    link = FluidResource("link", 1e9)
+    for i in range(nflows):
+        net.transfer(1e6 * (i + 1), [(link, 1.0)])
     sim.run()
-    assert done.triggered and sim.now == 1e6 / 1e9
 
 
-def test_unknown_solver_rejected():
-    import pytest
-    with pytest.raises(ValueError):
-        FluidNetwork(Simulator(), solver="quantum")
+@pytest.mark.parametrize("solver,called", [("vector", "_alloc_vector"),
+                                           ("scalar", "_alloc_scalar")])
+def test_cutover_pins_the_allocator(alloc_calls, solver, called):
+    """The pin above is what the whole suite stands on: check it."""
+    nflows = fluid._SCALAR_MAX_FLOWS + 3  # straddles the real cutover
+    with pinned(solver):
+        _staggered_finishes(nflows)
+    assert alloc_calls and {name for name, _n in alloc_calls} == {called}
+
+
+def test_dispatch_follows_active_set_size(alloc_calls):
+    """Unpinned, a re-solve takes the scalar fold up to the cutover
+    and the vector solver above it."""
+    cut = fluid._SCALAR_MAX_FLOWS
+    _staggered_finishes(cut + 3)
+    assert alloc_calls == (
+        [("_alloc_vector", n) for n in (cut + 3, cut + 2, cut + 1)]
+        + [("_alloc_scalar", n) for n in range(cut, 0, -1)])
 
 
 def test_shared_bottleneck_exact_split():
     """Two flows over one link: each gets half the wire, identically
     under both solvers (the paper's two-stream sharing case)."""
     for solver in ("vector", "scalar"):
-        sim = Simulator()
-        net = FluidNetwork(sim, solver=solver)
-        link = FluidResource("link", 1e9)
-        a = net.transfer(1e6, [(link, 1.0)])
-        b = net.transfer(1e6, [(link, 1.0)])
-        sim.run()
+        with pinned(solver):
+            sim = Simulator()
+            net = FluidNetwork(sim)
+            link = FluidResource("link", 1e9)
+            a = net.transfer(1e6, [(link, 1.0)])
+            b = net.transfer(1e6, [(link, 1.0)])
+            sim.run()
         assert a.triggered and b.triggered
         assert sim.now == 2e6 / 1e9

@@ -376,3 +376,174 @@ class TestRun:
         sim1.spawn(prog())
         with pytest.raises(SimulationError):
             sim1.run()
+
+
+@pytest.fixture(params=[None, 7], ids=["fifo", "seeded"])
+def tie_seed(request):
+    return request.param
+
+
+class TestSettle:
+    """``Simulator.at_settle``: hooks run once per registration, after
+    the current timestamp's last entry and before the clock moves."""
+
+    def test_runs_once_after_every_same_time_entry(self, tie_seed):
+        sim = Simulator(tie_seed=tie_seed)
+        log = []
+
+        def first():
+            log.append(("first", sim.now))
+            sim.at_settle(lambda: log.append(("settle", sim.now)))
+            # queued after the registration, still ahead of the hook
+            sim.call_in(0.0, lambda: log.append(("late", sim.now)))
+
+        sim.call_at(1.0, first)
+        for i in range(3):
+            sim.call_at(1.0, lambda i=i: log.append((f"peer{i}", sim.now)))
+        sim.call_at(2.0, lambda: log.append(("next", sim.now)))
+        sim.run()
+        assert log.count(("settle", 1.0)) == 1
+        assert log.index(("settle", 1.0)) == 5  # after all five at t=1
+        assert log[-1] == ("next", 2.0)
+        # hooks are not events
+        assert sim.events_processed == 6
+
+    def test_hook_scheduling_same_time_work_resumes_the_drain(
+            self, tie_seed):
+        sim = Simulator(tie_seed=tie_seed)
+        log = []
+
+        def hook():
+            log.append("hook")
+            sim.call_in(0.0, lambda: log.append(("resumed", sim.now)))
+
+        sim.call_at(1.0, lambda: sim.at_settle(hook))
+        sim.call_at(2.0, lambda: log.append(("next", sim.now)))
+        sim.run()
+        assert log == ["hook", ("resumed", 1.0), ("next", 2.0)]
+
+    def test_hook_registered_by_a_hook_runs_after_the_resumed_drain(
+            self, tie_seed):
+        sim = Simulator(tie_seed=tie_seed)
+        log = []
+
+        def outer():
+            log.append("outer")
+            sim.at_settle(lambda: log.append(("inner", sim.now)))
+            sim.call_in(0.0, lambda: log.append("resumed"))
+
+        sim.call_at(1.0, lambda: sim.at_settle(outer))
+        sim.call_at(2.0, lambda: log.append("next"))
+        sim.run()
+        assert log == ["outer", "resumed", ("inner", 1.0), "next"]
+
+    def test_registered_before_run(self, tie_seed):
+        sim = Simulator(tie_seed=tie_seed)
+        log = []
+        sim.at_settle(lambda: log.append(("settle", sim.now)))
+        sim.call_at(0.0, lambda: log.append("same-time"))
+        sim.call_at(1.0, lambda: log.append("later"))
+        sim.run()
+        assert log == ["same-time", ("settle", 0.0), "later"]
+
+    def test_registered_between_bounded_runs(self, tie_seed):
+        sim = Simulator(tie_seed=tie_seed)
+        log = []
+        sim.call_at(5.0, lambda: log.append("at5"))
+        assert sim.run(until=2.0) == 2.0
+        # the hook schedules work that the next bounded run must see,
+        # although the queue's next entry lies beyond its horizon
+        sim.at_settle(
+            lambda: sim.call_in(1.0, lambda: log.append(("woke", sim.now))))
+        assert sim.run(until=4.0) == 4.0
+        assert log == [("woke", 3.0)]
+        sim.run()
+        assert log == [("woke", 3.0), "at5"]
+
+    def test_hook_on_an_empty_queue_still_runs(self):
+        sim = Simulator()
+        log = []
+        sim.at_settle(lambda: log.append("settle"))
+        sim.run()
+        assert log == ["settle"]
+
+    def test_deadlock_still_raised_after_settle(self):
+        sim = Simulator()
+        log = []
+
+        def stuck():
+            sim.at_settle(lambda: log.append("settle"))
+            yield sim.event()  # never triggered
+
+        sim.spawn(stuck())
+        with pytest.raises(DeadlockError):
+            sim.run()
+        assert log == ["settle"]
+
+    def test_hook_can_rescue_a_blocked_process(self):
+        sim = Simulator()
+        ev = sim.event()
+
+        def waiter():
+            sim.at_settle(lambda: ev.succeed("rescued"))
+            return (yield ev)
+
+        assert run(sim, waiter()) == "rescued"
+
+    def test_exception_in_hook_surfaces_from_run(self):
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("hook failed")
+
+        sim.call_at(1.0, lambda: sim.at_settle(boom))
+        with pytest.raises(RuntimeError, match="hook failed"):
+            sim.run()
+
+    def test_peek_flushes_owed_hooks(self, tie_seed):
+        sim = Simulator(tie_seed=tie_seed)
+        sim.at_settle(lambda: sim.call_in(3.0, lambda: None))
+        # without the flush the queue looks empty
+        assert sim.peek() == 3.0
+
+    def test_peek_leaves_hooks_while_same_time_work_is_queued(self):
+        sim = Simulator()
+        log = []
+        sim.at_settle(lambda: log.append("settle"))
+        sim.call_at(0.0, lambda: log.append("entry"))
+        assert sim.peek() == 0.0
+        assert log == []
+        sim.run()
+        assert log == ["entry", "settle"]
+
+    def test_step_matches_run(self, tie_seed):
+        def program(sim, log):
+            def poke(tag):
+                log.append((tag, sim.now))
+                sim.at_settle(lambda: log.append(("settle", tag, sim.now)))
+            for tag in "abc":
+                sim.call_at(1.0, poke, tag)
+            sim.call_at(2.0, poke, "d")
+
+        ran, stepped = [], []
+        sim = Simulator(tie_seed=tie_seed)
+        program(sim, ran)
+        sim.run()
+        sim = Simulator(tie_seed=tie_seed)
+        program(sim, stepped)
+        while sim.peek() < float("inf"):
+            sim.step()
+        assert stepped == ran
+        assert [e for e in ran if e[0] == "settle"][-1] == ("settle", "d", 2.0)
+
+    def test_step_flushes_before_moving_the_clock(self):
+        sim = Simulator()
+        log = []
+        sim.call_at(1.0, lambda: sim.at_settle(
+            lambda: sim.call_in(0.5, lambda: log.append(sim.now))))
+        sim.call_at(2.0, lambda: log.append(sim.now))
+        sim.step()  # t=1: registers the hook
+        sim.step()  # hook flushes first and schedules t=1.5
+        assert log == [1.5]
+        sim.step()
+        assert log == [1.5, 2.0]

@@ -18,7 +18,11 @@ This suite drives randomized schedule programs — callbacks that spawn
 more callbacks at zero or positive delays, plus cancellations — through
 the real :class:`Simulator` and through a ~30-line reference
 re-implementation of the historical heap, and asserts the two fire
-sequences are identical.  It also pins the cancelled-entry compaction
+sequences are identical.  Programs may also register *settle hooks*
+(:meth:`Simulator.at_settle`), which the reference runs whenever the
+next heap entry lies in the future: hooks must fire at the same points
+of the sequence, draw no tie-break priority and stay out of
+``events_processed``.  It also pins the cancelled-entry compaction
 behaviour: a workload that schedules and cancels far-future timers
 (the HCA ack-timeout pattern) must keep a bounded queue.
 """
@@ -49,15 +53,26 @@ _program = st.lists(_root, min_size=1, max_size=12)
 _seeds = st.one_of(st.none(), st.integers(min_value=0, max_value=2**31))
 
 
-def _run_calendar(program, tie_seed, cancels=()):
+def _run_calendar(program, tie_seed, cancels=(), settles=()):
     """Fire a schedule program on the real engine; returns the
-    (timestamp, node id) fire sequence."""
+    (timestamp, node id) fire sequence.  ``settles`` maps a root index
+    to the delay of the callback its settle hook schedules (None: the
+    hook only logs); hooks log as ``"<root>.s"``."""
     sim = Simulator(tie_seed=tie_seed)
     order = []
     handles = {}
+    settles = dict(settles)
+
+    def hook(node_id, delay):
+        order.append((sim.now, f"{node_id}.s"))
+        if delay is not None:
+            sim.call_in(delay, fire, f"{node_id}.s.0", [], None)
 
     def fire(node_id, children, cancel_target):
         order.append((sim.now, node_id))
+        if node_id.isdigit() and int(node_id) in settles:
+            sim.at_settle(
+                lambda: hook(node_id, settles[int(node_id)]))
         if cancel_target is not None and cancel_target in handles:
             handles[cancel_target].cancel()
         for ci, (delay, grandchildren) in enumerate(children):
@@ -71,20 +86,28 @@ def _run_calendar(program, tie_seed, cancels=()):
         handles[nid] = sim.call_at(when, fire, nid, children,
                                    cancels.get(i))
     sim.run()
+    # hooks are not events
+    assert sim.events_processed == sum(
+        1 for _t, nid in order if not nid.endswith(".s"))
     return order
 
 
-def _run_legacy_heap(program, tie_seed, cancels=()):
+def _run_legacy_heap(program, tie_seed, cancels=(), settles=()):
     """The historical implementation: one global heap of
     ``(when, seq)`` / ``(when, prio, seq)`` entries, one pop per
     callback.  Must stay a faithful transcription of the pre-calendar
     engine — it is the reference the calendar queue is judged against.
+    Settle hooks are a plain list flushed whenever the next entry is
+    not at the current time.
     """
     heap = []
     seq = itertools.count()
     rng = None if tie_seed is None else random.Random(tie_seed)
     cancelled = set()
     order = []
+    settles = dict(settles)
+    hooks = []
+    now = 0.0
 
     def push(when, node_id, children, cancel_target):
         item = (node_id, children, cancel_target)
@@ -97,12 +120,23 @@ def _run_legacy_heap(program, tie_seed, cancels=()):
     cancels = dict(cancels)
     for i, (when, children) in enumerate(program):
         push(when, str(i), children, cancels.get(i))
-    while heap:
+    while heap or hooks:
+        if hooks and (not heap or heap[0][0] > now):
+            owed, hooks = hooks, []
+            for node_id in owed:
+                order.append((now, f"{node_id}.s"))
+                delay = settles[int(node_id)]
+                if delay is not None:
+                    push(now + delay, f"{node_id}.s.0", [], None)
+            continue
         entry = heapq.heappop(heap)
         when, (node_id, children, cancel_target) = entry[0], entry[-1]
         if node_id in cancelled:
             continue
+        now = when
         order.append((when, node_id))
+        if node_id.isdigit() and int(node_id) in settles:
+            hooks.append(node_id)
         if cancel_target is not None:
             cancelled.add(str(cancel_target))
         for ci, (delay, grandchildren) in enumerate(children):
@@ -133,6 +167,27 @@ def test_identical_with_cancellation(program, tie_seed, data):
     got = _run_calendar(program, tie_seed, cancels)
     want = _run_legacy_heap(program, tie_seed, cancels)
     assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_program, tie_seed=_seeds, data=st.data())
+def test_identical_with_settle_hooks(program, tie_seed, data):
+    # roots may register a settle hook when they fire; the hook logs
+    # and may schedule a callback at the same timestamp (resuming the
+    # drain) or later.  Cancellations ride along: a cancelled root
+    # registers nothing, and a hook's flush point must not depend on
+    # dead entries sitting at the front of the queue.
+    n = len(program)
+    roots = st.integers(min_value=0, max_value=n - 1)
+    settles = data.draw(st.dictionaries(
+        roots, st.one_of(st.none(), st.sampled_from(DELAYS)),
+        min_size=1, max_size=4))
+    cancels = data.draw(st.dictionaries(roots, roots.map(str),
+                                        max_size=2))
+    got = _run_calendar(program, tie_seed, cancels, settles)
+    want = _run_legacy_heap(program, tie_seed, cancels, settles)
+    assert got == want
+    assert any(nid.endswith(".s") for _t, nid in got) or cancels
 
 
 def test_same_timestamp_appends_join_bulk_drain():
