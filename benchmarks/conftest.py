@@ -5,13 +5,13 @@ simulated stack, saves the data table under ``benchmarks/results/``,
 prints it, and asserts the figure's qualitative shape.
 
 ``bench_recorder`` additionally accumulates machine-readable entries
-(:mod:`repro.obs.gate` schema) and writes ``BENCH_channels.json`` to
-both ``benchmarks/results/`` and the repository root at session end —
-the artifact CI uploads and the regression gate compares against
-``benchmarks/baselines/``.
+(:mod:`repro.obs.gate` schema) for the requesting file's suite —
+``test_bench_<suite>.py`` records into ``BENCH_<suite>.json`` — and
+writes that file to ``benchmarks/results/``, its only location, at
+session end: the artifact CI uploads and the regression gate compares
+against ``benchmarks/baselines/``.
 """
 
-import json
 import pathlib
 
 import pytest
@@ -19,7 +19,6 @@ import pytest
 from repro.obs import gate as obs_gate
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 BASELINE_DIR = pathlib.Path(__file__).parent / "baselines"
 
 
@@ -32,7 +31,7 @@ def results_dir():
 class BenchRecorder:
     """Collects ``repro-bench/1`` entries across a benchmark session."""
 
-    def __init__(self, suite: str = "channels"):
+    def __init__(self, suite: str):
         self.suite = suite
         self.entries = []
 
@@ -56,49 +55,27 @@ class BenchRecorder:
                                               rtol=rtol)
 
 
-def _write_recorder(rec, results_dir):
-    if rec.entries:
-        text = json.dumps(rec.document(), indent=2,
-                          sort_keys=True) + "\n"
-        name = f"BENCH_{rec.suite}.json"
-        (results_dir / name).write_text(text)
-        (REPO_ROOT / name).write_text(text)
-
-
 @pytest.fixture(scope="session")
-def bench_recorder(results_dir):
-    rec = BenchRecorder()
-    yield rec
-    _write_recorder(rec, results_dir)
+def _recorders(results_dir):
+    """suite name -> BenchRecorder, each written once at session end."""
+    recorders = {}
+    yield recorders
+    for rec in recorders.values():
+        if rec.entries:
+            obs_gate.write_result(
+                results_dir / f"BENCH_{rec.suite}.json", rec.suite,
+                rec.entries)
 
 
-@pytest.fixture(scope="session")
-def adaptive_recorder(results_dir):
-    """Separate suite for the auto-tuner benchmarks: written to
-    ``BENCH_adaptive.json`` and gated against its own baseline."""
-    rec = BenchRecorder(suite="adaptive")
-    yield rec
-    _write_recorder(rec, results_dir)
-
-
-@pytest.fixture(scope="session")
-def simspeed_recorder(results_dir):
-    """Simulator-speed suite (events/sec, simulated bytes/sec of wall
-    clock): written to ``BENCH_simspeed.json`` and gated against its
-    own baseline at rtol=0.15."""
-    rec = BenchRecorder(suite="simspeed")
-    yield rec
-    _write_recorder(rec, results_dir)
-
-
-@pytest.fixture(scope="session")
-def memscale_recorder(results_dir):
-    """Memory-footprint suite (pinned bytes per rank, QPs created,
-    connections established): written to ``BENCH_memscale.json`` and
-    gated against its own baseline at rtol=0.15."""
-    rec = BenchRecorder(suite="memscale")
-    yield rec
-    _write_recorder(rec, results_dir)
+@pytest.fixture(scope="module")
+def bench_recorder(request, _recorders):
+    """The recorder of the suite the requesting file is named after
+    (``test_bench_adaptive.py`` -> ``adaptive``); each suite is gated
+    against its own baseline at the tolerance its file passes."""
+    suite = request.module.__name__.rpartition("test_bench_")[2]
+    if suite not in _recorders:
+        _recorders[suite] = BenchRecorder(suite)
+    return _recorders[suite]
 
 
 @pytest.fixture

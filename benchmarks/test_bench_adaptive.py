@@ -17,8 +17,8 @@ Acceptance (enforced here, not just recorded):
 * adaptive strictly beats *every* static at one size or more in the
   32 KB–256 KB band (the phased sweep delivers this).
 
-Results land in ``BENCH_adaptive.json`` (repo root +
-``benchmarks/results/``) and the final test gates them against
+Results land in ``benchmarks/results/BENCH_adaptive.json`` and the
+final test gates them against
 ``benchmarks/baselines/BENCH_adaptive.json`` at 10% tolerance.
 """
 
@@ -41,39 +41,39 @@ BEAT_BAND = (32 * 1024, 256 * 1024)
 _strict_wins = []
 
 
-def test_bandwidth_sweep(adaptive_recorder):
+def test_bandwidth_sweep(bench_recorder):
     for size in BANDWIDTH_SIZES:
         by_design = {}
         for design in ALL_DESIGNS:
             bw = mpi_bandwidth(size, design)
             by_design[design] = bw
-            adaptive_recorder.add(design, "bandwidth_MBps", size, bw)
+            bench_recorder.add(design, "bandwidth_MBps", size, bw)
         best = max(by_design[d] for d in STATICS)
         assert by_design["adaptive"] >= best * 0.90, (
             f"adaptive bandwidth at {size}: {by_design['adaptive']:.1f} "
             f"MB/s vs best static {best:.1f}")
 
 
-def test_latency_sweep(adaptive_recorder):
+def test_latency_sweep(bench_recorder):
     for size in LATENCY_SIZES:
         by_design = {}
         for design in ALL_DESIGNS:
             lat = mpi_latency_us(size, design)
             by_design[design] = lat
-            adaptive_recorder.add(design, "latency_us", size, lat)
+            bench_recorder.add(design, "latency_us", size, lat)
         best = min(by_design[d] for d in STATICS)
         assert by_design["adaptive"] <= best * 1.10, (
             f"adaptive latency at {size}: {by_design['adaptive']:.1f} "
             f"us vs best static {best:.1f}")
 
 
-def test_phased_sweep(adaptive_recorder):
+def test_phased_sweep(bench_recorder):
     for size in PHASED_SIZES:
         by_design = {}
         for design in ALL_DESIGNS:
             sec = mpi_phased_s(size, design)
             by_design[design] = sec
-            adaptive_recorder.add(design, "phased_s", size, sec)
+            bench_recorder.add(design, "phased_s", size, sec)
         best = min(by_design[d] for d in STATICS)
         assert by_design["adaptive"] <= best * 1.10, (
             f"adaptive phased at {size}: {by_design['adaptive']*1e3:.2f} "
@@ -93,25 +93,25 @@ def test_adaptive_beats_all_statics_in_band():
 
 
 @pytest.mark.parametrize("bench", ["cg", "mg"])
-def test_nas_class_a(bench, adaptive_recorder):
+def test_nas_class_a(bench, bench_recorder):
     by_design = {}
     for design in ALL_DESIGNS:
         sec, _mops = run_skeleton(bench, "A", 4, design=design)
         by_design[design] = sec
-        adaptive_recorder.add(design, f"nas_{bench}_s", 0, sec)
+        bench_recorder.add(design, f"nas_{bench}_s", 0, sec)
     best = min(by_design[d] for d in STATICS)
     assert by_design["adaptive"] <= best * 1.10, (
         f"adaptive NAS {bench}: {by_design['adaptive']:.4f}s vs best "
         f"static {best:.4f}s")
 
 
-def test_regression_gate(adaptive_recorder):
+def test_regression_gate(bench_recorder):
     """Must run last in this file: gates everything measured above."""
     expected = len(ALL_DESIGNS) * (len(BANDWIDTH_SIZES)
                                    + len(LATENCY_SIZES)
                                    + len(PHASED_SIZES) + 2)
-    assert len(adaptive_recorder.entries) == expected
-    problems = adaptive_recorder.gate(rtol=0.10)
+    assert len(bench_recorder.entries) == expected
+    problems = bench_recorder.gate(rtol=0.10)
     if problems is None:
         pytest.skip("no committed baseline yet — commit "
                     "benchmarks/baselines/BENCH_adaptive.json")

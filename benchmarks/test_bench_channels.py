@@ -3,8 +3,8 @@
 Unlike the figure benchmarks (which print tables for a human), this
 suite measures every design at a few representative points with the
 observability layer enabled, embeds the per-layer counter aggregates
-in each entry, and writes ``BENCH_channels.json`` (see
-``benchmarks/conftest.py``).  The final test gates the fresh numbers
+in each entry, and writes ``benchmarks/results/BENCH_channels.json``
+(see ``benchmarks/conftest.py``).  The final test gates the fresh numbers
 against the committed baseline in ``benchmarks/baselines/`` with a
 10% tolerance; the simulator is deterministic, so any drift is a real
 code change (update procedure: ``docs/OBSERVABILITY.md``).

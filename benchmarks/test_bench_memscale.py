@@ -70,7 +70,7 @@ def _record(rec, label, nranks, cluster, connections):
 
 
 @pytest.fixture(scope="module")
-def footprints(memscale_recorder):
+def footprints(bench_recorder):
     """Measure once, assert many: build the eager baseline, run the
     lazy rings, record every entry."""
     out = {}
@@ -81,7 +81,7 @@ def footprints(memscale_recorder):
     out["basic"] = (world.cluster.pinned_bytes() / NRANKS,
                     world.connection_count(),
                     world.cluster.live_qps())
-    _record(memscale_recorder, "basic-mesh", NRANKS, world.cluster,
+    _record(bench_recorder, "basic-mesh", NRANKS, world.cluster,
             world.connection_count())
     del world
 
@@ -91,7 +91,7 @@ def footprints(memscale_recorder):
         out[f"lazy{nranks}"] = (world.cluster.pinned_bytes() / nranks,
                                 world.connection_count(),
                                 world.cluster.live_qps())
-        _record(memscale_recorder, "srq-lazy-ring", nranks,
+        _record(bench_recorder, "srq-lazy-ring", nranks,
                 world.cluster, world.connection_count())
         del world
     return out
@@ -133,11 +133,11 @@ def test_lazy_qps_are_linear(footprints):
     assert qps == 2 * conns
 
 
-def test_regression_gate(memscale_recorder):
+def test_regression_gate(bench_recorder):
     """Must run last in this file: gates everything measured above."""
     # three labels x three metrics (one label measured at two sizes)
-    assert len(memscale_recorder.entries) == 9
-    problems = memscale_recorder.gate(rtol=0.15)
+    assert len(bench_recorder.entries) == 9
+    problems = bench_recorder.gate(rtol=0.15)
     if problems is None:
         pytest.skip("no committed memscale baseline yet")
     assert not problems, "\n".join(problems)

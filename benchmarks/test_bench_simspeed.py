@@ -98,18 +98,18 @@ def _record(rec, workload, world, wall, payload_bytes):
                       "resolves": net.resolves})
 
 
-def test_ring_512(simspeed_recorder):
+def test_ring_512(bench_recorder):
     results, world, wall = _measure(_ring)
     assert results == [RING_BYTES] * NRANKS
     # every rank sends RING_BYTES payload per iteration
     payload = NRANKS * RING_ITERS * RING_BYTES
-    _record(simspeed_recorder, "ring", world, wall, payload)
+    _record(bench_recorder, "ring", world, wall, payload)
     assert wall < RING_WALL_BUDGET_S, (
         f"512-rank ring took {wall:.1f}s (budget "
         f"{RING_WALL_BUDGET_S:.0f}s)")
 
 
-def test_allreduce_512(simspeed_recorder):
+def test_allreduce_512(bench_recorder):
     results, world, wall = _measure(_allreduce)
     expect = float(sum(range(NRANKS)))
     assert results == [expect] * NRANKS
@@ -117,17 +117,17 @@ def test_allreduce_512(simspeed_recorder):
     # steps, each rank sending the full 8 KiB vector per step
     steps = NRANKS.bit_length() - 1
     payload = NRANKS * steps * ALLREDUCE_DOUBLES * 8
-    _record(simspeed_recorder, "allreduce", world, wall, payload)
+    _record(bench_recorder, "allreduce", world, wall, payload)
     assert wall < ALLREDUCE_WALL_BUDGET_S, (
         f"512-rank allreduce took {wall:.1f}s (budget "
         f"{ALLREDUCE_WALL_BUDGET_S:.0f}s)")
 
 
-def test_regression_gate(simspeed_recorder):
+def test_regression_gate(bench_recorder):
     """Must run last in this file: gates everything measured above."""
     # two workloads x four metrics
-    assert len(simspeed_recorder.entries) == 8
-    problems = simspeed_recorder.gate(rtol=0.15)
+    assert len(bench_recorder.entries) == 8
+    problems = bench_recorder.gate(rtol=0.15)
     if problems is None:
         pytest.skip("no committed BENCH_simspeed.json baseline yet")
     assert not problems, "\n".join(problems)

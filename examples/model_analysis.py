@@ -15,8 +15,8 @@ from repro.bench.loggp import fit_loggp
 from repro.bench.profile import profile_run
 from repro.config import KB
 from repro.mpi.runner import build_world
-from repro.mpi.trace import Tracer
 from repro.nas import KERNELS
+from repro.obs.msgtrace import MessageTracer
 
 
 def loggp_table():
@@ -29,7 +29,7 @@ def loggp_table():
 def trace_cg():
     print("== message timeline: NAS CG (class T, 4 ranks, zerocopy) ==")
     world = build_world(4, "zerocopy")
-    tracer = Tracer.attach(world)
+    tracer = MessageTracer.attach(world)
     procs = [world.cluster.spawn(KERNELS["cg"](ctx, "T"),
                                  f"rank{ctx.rank}")
              for ctx in world.contexts]

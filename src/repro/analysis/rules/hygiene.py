@@ -1,7 +1,7 @@
 """API-hygiene rules for repo-wide conventions.
 
-* configs are keyword-only since the PR-3 deprecation — positional
-  construction only works through a shim that will be removed;
+* configs are keyword-only — positional construction is a
+  ``TypeError`` at run time; the rule finds it before a run does;
 * observability gauges track a level, so every ``.add()`` stream on a
   gauge must contain a decrement (or use ``.set()``) — an
   increment-only gauge is either a leak or should be a counter;
@@ -23,8 +23,8 @@ __all__ = ["FalsyOrDefaultRule", "PositionalConfigRule",
 
 
 class PositionalConfigRule(Rule):
-    """``FooConfig(a, b)`` goes through the deprecated positional
-    shim; construct configs keyword-only."""
+    """``FooConfig(a, b)`` raises ``TypeError``: the config
+    dataclasses are keyword-only."""
 
     id = "positional-config"
     description = "positional construction of a *Config dataclass"
@@ -43,8 +43,8 @@ class PositionalConfigRule(Rule):
                 yield self.finding(
                     mod, node,
                     f"{name} constructed with positional arguments; "
-                    "configs are keyword-only (the positional shim is "
-                    "deprecated)")
+                    "configs are keyword-only and this raises "
+                    "TypeError")
 
 
 class UnpairedGaugeRule(Rule):

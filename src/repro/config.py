@@ -20,51 +20,15 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass, field
 
 __all__ = ["HardwareConfig", "ChannelConfig", "KB", "MB", "US",
-           "PAGE_SIZE", "deprecated_positional"]
+           "PAGE_SIZE"]
 
 KB = 1024
 MB = 1_000_000  # the paper's MB is 10^6 bytes
 US = 1e-6
 PAGE_SIZE = 4096
-
-
-def deprecated_positional(cls):
-    """Class decorator: accept the dataclass's fields positionally for
-    one more release, emitting a :class:`DeprecationWarning`.
-
-    The config dataclasses are declared ``kw_only`` — call sites must
-    name every field — but code written against the old positional
-    signatures keeps working through this shim (in declaration order,
-    exactly as before)."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    orig_init = cls.__init__
-
-    def __init__(self, *args, **kw):
-        if args:
-            warnings.warn(
-                f"positional arguments to {cls.__name__} are "
-                f"deprecated; pass fields by keyword "
-                f"({', '.join(names[:3])}, ...)",
-                DeprecationWarning, stacklevel=2)
-            if len(args) > len(names):
-                raise TypeError(
-                    f"{cls.__name__} takes at most {len(names)} "
-                    f"arguments ({len(args)} given)")
-            for name, val in zip(names, args):
-                if name in kw:
-                    raise TypeError(
-                        f"{cls.__name__} got multiple values for "
-                        f"argument {name!r}")
-                kw[name] = val
-        orig_init(self, **kw)
-
-    __init__.__wrapped__ = orig_init
-    cls.__init__ = __init__
-    return cls
 
 
 def _coerce_field(f: dataclasses.Field, raw: str):
@@ -130,7 +94,6 @@ class _ConfigMixin:
         return cls(**kw)
 
 
-@deprecated_positional
 @dataclass(frozen=True, kw_only=True)
 class HardwareConfig(_ConfigMixin):
     """Calibrated testbed model.  Instances are immutable; derive
@@ -264,7 +227,6 @@ class HardwareConfig(_ConfigMixin):
         return self.dereg_base_cost + pages * self.dereg_per_page_cost
 
 
-@deprecated_positional
 @dataclass(frozen=True, kw_only=True)
 class ChannelConfig(_ConfigMixin):
     """Tunables of the RDMA Channel designs (§4–§5).

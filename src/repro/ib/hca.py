@@ -30,6 +30,29 @@ analysis needs:
   unchanged, so the no-fault event sequence — and therefore every
   benchmark figure — is bit-for-bit identical.
 
+Two transports, one responder.  The two are different clocks — the
+fault-free engine starts the next WQE once the data has drained and
+lets the ack overlap it, stop-and-wait holds the engine until the ack
+or the timer — so both event sequences stay, selected once per QP
+from ``FaultState.transport_active``.  Everything that is not a point
+on the simulated clock exists once.  The sharing rule: a helper is
+shared iff it never yields, or it yields the same awaitables in the
+same order at every call site.  Side effects that do not yield may be
+regrouped inside one step (nothing can run between them), except the
+shadow-sanitizer hooks, which can raise: ``on_remote_access`` stays
+before the rkey lookup, ``on_rdma_write`` before the memory write.
+Three differences are behaviour, not drift: a dry SRQ blocks the
+fault-free delivery (RNR backpressure) but makes the recovery
+transport discard, send no ack and retransmit; an empty private
+receive queue or a short receive WQE completes the error CQE at once
+fault-free but travels back on the ack leg, cached under the PSN,
+under recovery; and recovery carries ``bytes`` (CRC, ``faults.corrupt``)
+where fault-free keeps the gathered ndarray.  One difference *is*
+drift and is pinned, not fixed, here: a read or atomic with a bad
+remote key is refused after the request leg fault-free and up front
+under recovery (``tests/test_hca_transport_digest.py``; ROADMAP item
+4 closes it).
+
 Simulation shortcut (semantics-preserving): instead of spin-polling
 loops generating millions of events, inbound placements open the HCA's
 ``inbound_gate`` so pollers can sleep; observers still pay the
@@ -43,7 +66,7 @@ import itertools
 import struct
 import zlib
 from typing import (Any, Callable, Dict, Generator, List, Optional,
-                    Tuple)
+                    Tuple, Union)
 
 import numpy as np
 import numpy.typing as npt
@@ -67,8 +90,13 @@ __all__ = ["Hca", "QueuePair", "HcaStats", "SharedReceiveQueue"]
 
 _qpn_counter = itertools.count(0x40)
 
-#: sentinel distinguishing "timer fired" from any ack value
+#: sentinel distinguishing "every attempt's timer fired" from any
+#: response value
 _TIMED_OUT = object()
+
+#: what a write or send carries to the responder: the gathered ndarray
+#: fault-free, immutable bytes under recovery
+_Payload = Union[bytes, npt.NDArray[np.uint8]]
 
 
 class HcaStats:
@@ -186,16 +214,23 @@ class QueuePair:
             raise QPError(f"QP {self.qpn} receive queue full")
         # Validate lkeys eagerly (real HCAs check on placement; eager
         # checking surfaces protocol bugs at the post site).
-        for sge in rr.sges:
-            self.hca.pd.lookup_lkey(sge.lkey).check_local(sge.addr,
-                                                          sge.length)
+        self._check_local(rr.sges)
         self._rq.append(rr)
 
     # -- send engine ---------------------------------------------------------
     def _send_engine(self) -> Generator:
-        sim = self.hca.sim
-        cfg = self.hca.cfg
+        sim, cfg = self.hca.sim, self.hca.cfg
         faults = self.hca.faults
+        remote = self.remote
+        assert remote is not None, "the engine starts at connect()"
+        # the one place the transport is chosen, from what the fault
+        # plan says about the links and nothing else
+        if faults.transport_active:
+            write_or_send = self._execute_write_or_send_rc
+            read, atomic = self._execute_read_rc, self._execute_atomic_rc
+        else:
+            write_or_send = self._execute_write_or_send
+            read, atomic = self._execute_read, self._execute_atomic
         while True:
             wr: WorkRequest = yield self._sq.get()
             if self.error:
@@ -213,20 +248,11 @@ class QueuePair:
                     self.error = True
                     self._complete(wr, WcStatus.RETRY_EXC_ERR, 0)
                 elif wr.opcode in (Opcode.RDMA_WRITE, Opcode.SEND):
-                    if faults.transport_active:
-                        yield from self._execute_write_or_send_rc(wr)
-                    else:
-                        yield from self._execute_write_or_send(wr)
+                    yield from write_or_send(wr, remote)
                 elif wr.opcode is Opcode.RDMA_READ:
-                    if faults.transport_active:
-                        yield from self._execute_read_rc(wr)
-                    else:
-                        yield from self._execute_read(wr)
+                    yield from read(wr, remote)
                 elif wr.opcode in (Opcode.FETCH_ADD, Opcode.CMP_SWAP):
-                    if faults.transport_active:
-                        yield from self._execute_atomic_rc(wr)
-                    else:
-                        yield from self._execute_atomic(wr)
+                    yield from atomic(wr, remote)
                 else:  # pragma: no cover - defensive
                     raise IBError(f"bad opcode {wr.opcode}")
             except AccessError:
@@ -234,6 +260,28 @@ class QueuePair:
             except RnrError:
                 self._complete(wr, WcStatus.RNR_RETRY_EXC_ERR, 0)
             self.outstanding_send_wqes -= 1
+
+    # -- what both transports share (the sharing rule is in the module
+    # -- docstring: nothing below puts a transport-specific point on the
+    # -- simulated clock) ------------------------------------------------------
+    def _check_local(self, sges: List[Sge]) -> None:
+        """lkey, bounds and access check of local scatter/gather
+        elements."""
+        for sge in sges:
+            self.hca.pd.lookup_lkey(sge.lkey).check_local(sge.addr,
+                                                          sge.length)
+
+    def _check_remote(self, wr: WorkRequest, remote: "QueuePair",
+                      nbytes: int, access: Access, kind: str) -> None:
+        """The responder's validation of an RDMA target: rkey, bounds,
+        access rights.  The shadow sanitizer looks first — it can
+        raise, and must see the access before the rkey lookup does."""
+        shadow = remote.hca.shadow
+        if shadow is not None:
+            shadow.on_remote_access(remote.hca, wr.rkey, wr.remote_addr,
+                                    nbytes, kind)
+        remote.hca.pd.lookup_rkey(wr.rkey).check_remote(
+            wr.remote_addr, nbytes, access)
 
     def _gather(self, wr: WorkRequest) -> npt.NDArray[np.uint8]:
         """Snapshot the local SGEs into one contiguous array.
@@ -255,131 +303,95 @@ class QueuePair:
             return views[0].copy()
         return np.concatenate(views)
 
-    def _execute_write_or_send(self, wr: WorkRequest) -> Generator:
-        sim, cfg = self.hca.sim, self.hca.cfg
-        remote = self.remote
-        assert remote is not None
-        nbytes = wr.total_length
-        payload = self._gather(wr)
-
+    def _admit_write_or_send(self, wr: WorkRequest, remote: "QueuePair",
+                             nbytes: int) -> None:
+        """Validate an RDMA write's target and count the operation."""
+        stats = self.hca.stats
         if wr.opcode is Opcode.RDMA_WRITE:
             # Validate the remote target *before* moving data, like the
             # responder would on the first packet.
-            shadow = remote.hca.shadow
-            if shadow is not None:
-                shadow.on_remote_access(remote.hca, wr.rkey,
-                                        wr.remote_addr, nbytes, "write")
-            rmr = remote.hca.pd.lookup_rkey(wr.rkey)
-            rmr.check_remote(wr.remote_addr, nbytes, Access.REMOTE_WRITE)
-            self.hca.stats.rdma_writes += 1
-            self.hca.stats.bytes_written += nbytes
+            self._check_remote(wr, remote, nbytes, Access.REMOTE_WRITE,
+                               "write")
+            stats.rdma_writes += 1
+            stats.bytes_written += nbytes
             self._m_write_ops.inc()
             self._m_write_bytes.inc(nbytes)
         else:
-            self.hca.stats.sends += 1
-            self.hca.stats.bytes_sent += nbytes
+            stats.sends += 1
+            stats.bytes_sent += nbytes
             self._m_send_ops.inc()
             self._m_send_bytes.inc(nbytes)
 
-        # DMA setup + data drain (serializes this QP's next WQE: RC
-        # ordering on the wire).
+    def _drain(self, wr: WorkRequest, remote: "QueuePair", nbytes: int,
+               attempt: Optional[int] = None) -> Generator:
+        """DMA setup + data drain out of this HCA (serializes this QP's
+        next WQE: RC ordering on the wire).  ``attempt`` labels the
+        span of a recovery-transport (re)transmission."""
+        sim = self.hca.sim
         t0 = sim.now
-        yield sim.timeout(cfg.pci_latency)
+        yield sim.timeout(self.hca.cfg.pci_latency)
         if nbytes:
             route = self.hca.dma_route_to(remote.hca)
-            yield self.hca.net.transfer(nbytes, route,
-                                        label=f"qp{self.qpn}.{wr.opcode.value}")
+            yield self.hca.net.transfer(
+                nbytes, route, label=f"qp{self.qpn}.{wr.opcode.value}")
+        args = {"bytes": nbytes, "qp": self.qpn}
+        if attempt is not None:
+            args["attempt"] = attempt
         self.hca.timeline.span(
             f"node{self.hca.node_id}.hca", wr.opcode.value, t0, sim.now,
-            cat="rdma", args={"bytes": nbytes, "qp": self.qpn})
-        # Remote landing: propagation + PCI + placement happen after the
-        # drain and overlap the next WQE.
-        sim.spawn(self._deliver(wr, payload, remote),
-                  name=f"qp{self.qpn}.deliver")
+            cat="rdma", args=args)
 
-    def _deliver(self, wr: WorkRequest, payload: npt.NDArray[np.uint8],
-                 remote: "QueuePair") -> Generator:
-        sim, cfg = self.hca.sim, self.hca.cfg
-        yield sim.timeout(self.hca.fabric.latency(self.hca.node_id,
-                                                  remote.hca.node_id))
-        yield sim.timeout(cfg.pci_latency + cfg.hca_recv_processing)
+    def _place_write(self, wr: WorkRequest, payload: _Payload,
+                     remote: "QueuePair") -> None:
+        """Land an RDMA write in the responder's memory."""
         nbytes = len(payload)
+        if nbytes:
+            rhca = remote.hca
+            if rhca.shadow is not None:
+                rhca.shadow.on_rdma_write(rhca, wr.remote_addr, nbytes,
+                                          self.qpn)
+            rhca.mem.write(wr.remote_addr, payload)
+            watch = rhca._placement_watch.get(wr.remote_addr)
+            if watch is not None:
+                watch()
+
+    def _place_send(self, payload: _Payload, remote: "QueuePair",
+                    rr: Optional[RecvRequest]) -> WcStatus:
+        """Scatter an inbound SEND into receive WQE ``rr`` and raise
+        its receive completion.  No WQE (``None``: the private receive
+        queue ran empty) or one too short for the message errors the
+        responder QP instead; the returned status is the requester's."""
+        if rr is None:
+            remote.error = True
+            return WcStatus.RNR_RETRY_EXC_ERR
+        nbytes = len(payload)
+        if rr.total_length < nbytes:
+            remote.error = True
+            return WcStatus.LOC_LEN_ERR
         shadow = remote.hca.shadow
-        if wr.opcode is Opcode.RDMA_WRITE:
-            if nbytes:
-                if shadow is not None:
-                    shadow.on_rdma_write(remote.hca, wr.remote_addr,
-                                         nbytes, self.qpn)
-                remote.hca.mem.write(wr.remote_addr, payload)
-                watch = remote.hca._placement_watch.get(wr.remote_addr)
-                if watch is not None:
-                    watch()
-            # transparent to remote software; still pulse the gate so
-            # simulated pollers can re-check their flags.
-            remote.hca.inbound_gate.open()
-        else:  # SEND consumes a receive WQE
-            if remote.srq is not None:
-                # Pool dry = RNR backpressure: block FIFO until the
-                # consumer replenishes (delaying this requester's
-                # completion like an RNR retry loop would).
-                rr = yield from remote.srq.consume()
-            else:
-                if not remote._rq:
-                    remote.error = True
-                    self._complete(wr, WcStatus.RNR_RETRY_EXC_ERR, 0)
-                    return
-                rr = remote._rq.popleft()
-            if rr.total_length < nbytes:
-                remote.error = True
-                self._complete(wr, WcStatus.LOC_LEN_ERR, 0)
-                return
-            off = 0
-            for sge in rr.sges:
-                take = min(sge.length, nbytes - off)
-                if take <= 0:
-                    break
-                if shadow is not None:
-                    shadow.on_rdma_write(remote.hca, sge.addr, take,
-                                         self.qpn, op="send")
-                remote.hca.mem.write(sge.addr, payload[off:off + take])
-                off += take
-            remote._m_recv_ops.inc()
-            remote._m_recv_bytes.inc(nbytes)
-            remote.recv_cq.push(Completion(
-                wr_id=rr.wr_id, status=WcStatus.SUCCESS,
-                opcode=Opcode.RECV, byte_len=nbytes, qp_num=remote.qpn))
-            remote.hca.inbound_gate.open()
-        # RC ack back to the requester.
-        yield sim.timeout(self.hca.fabric.latency(remote.hca.node_id,
-                                                  self.hca.node_id))
-        self._complete(wr, WcStatus.SUCCESS, nbytes)
+        off = 0
+        for sge in rr.sges:
+            take = min(sge.length, nbytes - off)
+            if take <= 0:
+                break
+            if shadow is not None:
+                shadow.on_rdma_write(remote.hca, sge.addr, take,
+                                     self.qpn, op="send")
+            remote.hca.mem.write(sge.addr, payload[off:off + take])
+            off += take
+        remote._m_recv_ops.inc()
+        remote._m_recv_bytes.inc(nbytes)
+        remote.recv_cq.push(Completion(
+            wr_id=rr.wr_id, status=WcStatus.SUCCESS,
+            opcode=Opcode.RECV, byte_len=nbytes, qp_num=remote.qpn))
+        return WcStatus.SUCCESS
 
-    def _execute_read(self, wr: WorkRequest) -> Generator:
-        """RDMA read: request leg, responder turnaround, data leg.
-
-        Fully serialized per QP (the engine does not start the next
-        WQE until the data lands) — the InfiniHost behaviour behind
-        Fig. 15's read curve.
-        """
+    def _serve_read(self, wr: WorkRequest, remote: "QueuePair",
+                    nbytes: int) -> Generator:
+        """The responder's half of an RDMA read, serialized through its
+        read engine: turnaround, snapshot, then the data drains back
+        towards the requester.  Returns the snapshot."""
         sim, cfg = self.hca.sim, self.hca.cfg
-        remote = self.remote
-        assert remote is not None
-        nbytes = wr.total_length
-        t0 = sim.now
-        # local scatter target validation
-        for sge in wr.sges:
-            self.hca.pd.lookup_lkey(sge.lkey).check_local(sge.addr,
-                                                          sge.length)
-        # request leg
-        yield sim.timeout(self.hca.fabric.latency(self.hca.node_id,
-                                                  remote.hca.node_id))
-        # responder: validate, then serialize through the read engine
-        shadow = remote.hca.shadow
-        if shadow is not None:
-            shadow.on_remote_access(remote.hca, wr.rkey,
-                                    wr.remote_addr, nbytes, "read")
-        rmr = remote.hca.pd.lookup_rkey(wr.rkey)
-        rmr.check_remote(wr.remote_addr, nbytes, Access.REMOTE_READ)
         yield remote.hca.read_engine.acquire()
         try:
             yield sim.timeout(cfg.hca_read_response)
@@ -391,10 +403,12 @@ class QueuePair:
                                             label=f"qp{self.qpn}.read")
         finally:
             remote.hca.read_engine.release()
-        # landing at the requester
-        yield sim.timeout(self.hca.fabric.latency(remote.hca.node_id,
-                                                  self.hca.node_id))
-        yield sim.timeout(cfg.pci_latency + cfg.hca_recv_processing)
+        return payload
+
+    def _land_read(self, wr: WorkRequest,
+                   payload: npt.NDArray[np.uint8], t0: float) -> None:
+        """Scatter read data into the requester's SGEs and complete."""
+        nbytes = len(payload)
         if nbytes:
             off = 0
             local_shadow = self.hca.shadow
@@ -410,62 +424,45 @@ class QueuePair:
         self._m_read_ops.inc()
         self._m_read_bytes.inc(nbytes)
         self.hca.timeline.span(
-            f"node{self.hca.node_id}.hca", "rdma_read", t0, sim.now,
-            cat="rdma", args={"bytes": nbytes, "qp": self.qpn})
+            f"node{self.hca.node_id}.hca", "rdma_read", t0,
+            self.hca.sim.now, cat="rdma",
+            args={"bytes": nbytes, "qp": self.qpn})
         self.hca.inbound_gate.open()
         self._complete(wr, WcStatus.SUCCESS, nbytes)
 
-    def _execute_atomic(self, wr: WorkRequest) -> Generator:
-        """IB atomics: an 8-byte remote read-modify-write, serialized
-        through the responder's atomic unit (shared with the read
-        engine on the InfiniHost), returning the old value into the
-        requester's single SGE.  Timing matches a small RDMA read —
-        a full round trip plus responder turnaround."""
-        import struct as _struct
-        sim, cfg = self.hca.sim, self.hca.cfg
-        remote = self.remote
-        assert remote is not None
+    def _atomic_sge(self, wr: WorkRequest) -> Sge:
+        """The single local SGE an atomic returns its old value into."""
         if len(wr.sges) != 1 or wr.sges[0].length != 8:
             raise IBError("atomics need exactly one 8-byte local SGE")
-        sge = wr.sges[0]
-        self.hca.pd.lookup_lkey(sge.lkey).check_local(sge.addr, 8)
-        # request leg
-        yield sim.timeout(self.hca.fabric.latency(self.hca.node_id,
-                                                  remote.hca.node_id))
-        shadow = remote.hca.shadow
-        if shadow is not None:
-            shadow.on_remote_access(remote.hca, wr.rkey,
-                                    wr.remote_addr, 8, "atomic")
-        rmr = remote.hca.pd.lookup_rkey(wr.rkey)
-        rmr.check_remote(wr.remote_addr, 8, Access.REMOTE_ATOMIC)
+        self._check_local(wr.sges)
+        return wr.sges[0]
+
+    def _check_atomic_target(self, wr: WorkRequest,
+                             remote: "QueuePair") -> None:
+        self._check_remote(wr, remote, 8, Access.REMOTE_ATOMIC, "atomic")
         if wr.remote_addr % 8:
             raise AccessError("atomic target must be 8-byte aligned")
-        yield remote.hca.read_engine.acquire()
-        try:
-            yield sim.timeout(cfg.hca_read_response)
-            old_raw = remote.hca.mem.read(wr.remote_addr, 8)
-            old = _struct.unpack("<Q", old_raw)[0]
-            if wr.opcode is Opcode.FETCH_ADD:
-                new = (old + wr.compare_add) & 0xFFFFFFFFFFFFFFFF
-                if shadow is not None:
-                    shadow.on_rdma_write(remote.hca, wr.remote_addr, 8,
-                                         self.qpn, op="atomic")
-                remote.hca.mem.write(wr.remote_addr,
-                                     _struct.pack("<Q", new))
-            else:  # CMP_SWAP
-                if old == wr.compare_add:
-                    if shadow is not None:
-                        shadow.on_rdma_write(remote.hca, wr.remote_addr,
-                                             8, self.qpn, op="atomic")
-                    remote.hca.mem.write(wr.remote_addr,
-                                         _struct.pack("<Q", wr.swap))
-            remote.hca.inbound_gate.open()
-        finally:
-            remote.hca.read_engine.release()
-        # response leg carrying the old value
-        yield sim.timeout(self.hca.fabric.latency(remote.hca.node_id,
-                                                  self.hca.node_id))
-        yield sim.timeout(cfg.pci_latency + cfg.hca_recv_processing)
+
+    def _atomic_rmw(self, wr: WorkRequest, remote: "QueuePair") -> bytes:
+        """The responder's 8-byte read-modify-write; returns the old
+        value's bytes."""
+        rhca = remote.hca
+        old_raw = rhca.mem.read(wr.remote_addr, 8)
+        old = struct.unpack("<Q", old_raw)[0]
+        if wr.opcode is Opcode.FETCH_ADD:
+            new = (old + wr.compare_add) & 0xFFFFFFFFFFFFFFFF
+        else:  # CMP_SWAP stores only on a match
+            new = wr.swap if old == wr.compare_add else None
+        if new is not None:
+            if rhca.shadow is not None:
+                rhca.shadow.on_rdma_write(rhca, wr.remote_addr, 8,
+                                          self.qpn, op="atomic")
+            rhca.mem.write(wr.remote_addr, struct.pack("<Q", new))
+        rhca.inbound_gate.open()
+        return old_raw
+
+    def _land_atomic(self, wr: WorkRequest, sge: Sge,
+                     old_raw: bytes) -> None:
         local_shadow = self.hca.shadow
         if local_shadow is not None:
             local_shadow.on_rdma_write(self.hca, sge.addr, 8, self.qpn,
@@ -476,7 +473,96 @@ class QueuePair:
         self.hca.inbound_gate.open()
         self._complete(wr, WcStatus.SUCCESS, 8)
 
-    # -- RC recovery path (fault injection only) ---------------------------
+    # -- fault-free transport: single shot, the ack overlaps the next WQE --
+    def _execute_write_or_send(self, wr: WorkRequest,
+                               remote: "QueuePair") -> Generator:
+        nbytes = wr.total_length
+        payload = self._gather(wr)
+        self._admit_write_or_send(wr, remote, nbytes)
+        yield from self._drain(wr, remote, nbytes)
+        # Remote landing: propagation + PCI + placement happen after the
+        # drain and overlap the next WQE.
+        self.hca.sim.spawn(self._deliver(wr, payload, remote),
+                           name=f"qp{self.qpn}.deliver")
+
+    def _deliver(self, wr: WorkRequest, payload: npt.NDArray[np.uint8],
+                 remote: "QueuePair") -> Generator:
+        sim, cfg = self.hca.sim, self.hca.cfg
+        yield sim.timeout(self.hca.fabric.latency(self.hca.node_id,
+                                                  remote.hca.node_id))
+        yield sim.timeout(cfg.pci_latency + cfg.hca_recv_processing)
+        if wr.opcode is Opcode.RDMA_WRITE:
+            self._place_write(wr, payload, remote)
+        else:  # SEND consumes a receive WQE
+            if remote.srq is not None:
+                # Pool dry = RNR backpressure: block FIFO until the
+                # consumer replenishes (delaying this requester's
+                # completion like an RNR retry loop would).
+                rr = yield from remote.srq.consume()
+            else:
+                rr = remote._rq.popleft() if remote._rq else None
+            status = self._place_send(payload, remote, rr)
+            if status is not WcStatus.SUCCESS:
+                self._complete(wr, status, 0)
+                return
+        # a write is transparent to remote software; still pulse the
+        # gate so simulated pollers can re-check their flags.
+        remote.hca.inbound_gate.open()
+        # RC ack back to the requester.
+        yield sim.timeout(self.hca.fabric.latency(remote.hca.node_id,
+                                                  self.hca.node_id))
+        self._complete(wr, WcStatus.SUCCESS, len(payload))
+
+    def _execute_read(self, wr: WorkRequest,
+                      remote: "QueuePair") -> Generator:
+        """RDMA read: request leg, responder turnaround, data leg.
+
+        Fully serialized per QP (the engine does not start the next
+        WQE until the data lands) — the InfiniHost behaviour behind
+        Fig. 15's read curve.
+        """
+        sim, cfg = self.hca.sim, self.hca.cfg
+        nbytes = wr.total_length
+        t0 = sim.now
+        self._check_local(wr.sges)  # the scatter target
+        # request leg
+        yield sim.timeout(self.hca.fabric.latency(self.hca.node_id,
+                                                  remote.hca.node_id))
+        # responder: validate, then serialize through the read engine
+        self._check_remote(wr, remote, nbytes, Access.REMOTE_READ, "read")
+        payload = yield from self._serve_read(wr, remote, nbytes)
+        # landing at the requester
+        yield sim.timeout(self.hca.fabric.latency(remote.hca.node_id,
+                                                  self.hca.node_id))
+        yield sim.timeout(cfg.pci_latency + cfg.hca_recv_processing)
+        self._land_read(wr, payload, t0)
+
+    def _execute_atomic(self, wr: WorkRequest,
+                        remote: "QueuePair") -> Generator:
+        """IB atomics: an 8-byte remote read-modify-write, serialized
+        through the responder's atomic unit (shared with the read
+        engine on the InfiniHost), returning the old value into the
+        requester's single SGE.  Timing matches a small RDMA read —
+        a full round trip plus responder turnaround."""
+        sim, cfg = self.hca.sim, self.hca.cfg
+        sge = self._atomic_sge(wr)
+        # request leg
+        yield sim.timeout(self.hca.fabric.latency(self.hca.node_id,
+                                                  remote.hca.node_id))
+        self._check_atomic_target(wr, remote)
+        yield remote.hca.read_engine.acquire()
+        try:
+            yield sim.timeout(cfg.hca_read_response)
+            old_raw = self._atomic_rmw(wr, remote)
+        finally:
+            remote.hca.read_engine.release()
+        # response leg carrying the old value
+        yield sim.timeout(self.hca.fabric.latency(remote.hca.node_id,
+                                                  self.hca.node_id))
+        yield sim.timeout(cfg.pci_latency + cfg.hca_recv_processing)
+        self._land_atomic(wr, sge, old_raw)
+
+    # -- recovery transport (any link fault configured) ---------------------
     #
     # Stop-and-wait per WQE: one PSN, transmit, wait for the ack with
     # an exponentially backed-off timeout, retransmit up to
@@ -486,87 +572,78 @@ class QueuePair:
     # re-acked with the original outcome — writes/sends place bytes at
     # most once, atomics execute their RMW exactly once.
 
-    def _retry_timeout(self, attempt: int, nbytes: int) -> float:
-        cfg = self.hca.cfg
-        return (cfg.rc_timeout * cfg.rc_retry_backoff ** attempt
-                + nbytes * cfg.rc_timeout_per_byte)
-
-    def _await_response(self, resp: Event, timeout: float) -> Generator:
-        """Wait for ``resp`` or a timeout; returns the response value,
-        or ``_TIMED_OUT``."""
-        sim = self.hca.sim
-        timer = sim.event()
-        handle = sim.call_in(timeout, timer.succeed)
-        fired = yield sim.any_of([resp, timer])
-        if fired is resp:
-            handle.cancel()
-            return resp._value
-        self.hca.faults.stats.timeouts += 1
+    def _stop_and_wait(self, wr: WorkRequest, remote: "QueuePair",
+                       trip: Callable[[Event], Generator], budget: int,
+                       drain: Optional[int] = None) -> Generator:
+        """The requester's retry loop.  Each attempt spawns
+        ``trip(resp)`` — one journey to the responder and back, which
+        fires ``resp`` if it survives the links — and waits for it
+        under a timer sized for ``budget`` bytes.  Writes and sends
+        carry their data on the request leg: ``drain`` is how many
+        bytes (0 counts) leave this HCA before each attempt.  Returns
+        the response value, or ``_TIMED_OUT`` once the retry count is
+        exceeded: the QP is then in error with an error CQE (never a
+        hang) for the consumer to observe."""
+        sim, cfg = self.hca.sim, self.hca.cfg
+        fstats = self.hca.faults.stats
+        for attempt in range(cfg.rc_retry_cnt + 1):
+            if attempt:
+                fstats.retransmissions += 1
+                self._m_retrans.inc()
+            if drain is not None:
+                yield from self._drain(wr, remote, drain, attempt)
+            resp = sim.event()
+            sim.spawn(trip(resp), name=f"qp{self.qpn}.{wr.opcode.value}_rc")
+            timer = sim.event()
+            handle = sim.call_in(
+                cfg.rc_timeout * cfg.rc_retry_backoff ** attempt
+                + budget * cfg.rc_timeout_per_byte, timer.succeed)
+            if (yield sim.any_of([resp, timer])) is resp:
+                handle.cancel()
+                return resp._value
+            fstats.timeouts += 1
+        self.error = True
+        fstats.retry_exhaustions += 1
+        self._complete(wr, WcStatus.RETRY_EXC_ERR, 0)
         return _TIMED_OUT
 
-    def _enter_error(self, wr: WorkRequest) -> None:
-        """Transport retry count exceeded: error the QP and surface an
-        error CQE (never a hang) for the consumer to observe."""
-        self.error = True
-        self.hca.faults.stats.retry_exhaustions += 1
-        self._complete(wr, WcStatus.RETRY_EXC_ERR, 0)
+    def _lossy_leg(self, src: int, dst: int,
+                   fragile: bool = True) -> Generator:
+        """One packet crossing ``src -> dst`` under the fault plan.
+        Returns its verdict, or None when it never arrives: dropped,
+        or ``fragile`` and corrupted (the receiver's CRC discards it
+        like a lost one).  A packet that is not fragile hands a
+        ``"corrupt"`` verdict to the caller, who has the payload to
+        check."""
+        sim, faults = self.hca.sim, self.hca.faults
+        verdict, extra = faults.packet_verdict(src, dst, sim.now)
+        if verdict == "drop":
+            return None
+        if fragile and verdict == "corrupt":
+            faults.stats.crc_detected += 1
+            return None
+        if extra:
+            yield sim.timeout(extra)
+        yield sim.timeout(self.hca.fabric.latency(src, dst))
+        return verdict
 
-    def _execute_write_or_send_rc(self, wr: WorkRequest) -> Generator:
-        sim, cfg = self.hca.sim, self.hca.cfg
-        faults = self.hca.faults
-        remote = self.remote
-        assert remote is not None
+    def _execute_write_or_send_rc(self, wr: WorkRequest,
+                                  remote: "QueuePair") -> Generator:
         nbytes = wr.total_length
         # the recovery path CRCs and fault-corrupts the payload, both
         # of which operate on immutable bytes
         payload = self._gather(wr).tobytes()
-
-        if wr.opcode is Opcode.RDMA_WRITE:
-            shadow = remote.hca.shadow
-            if shadow is not None:
-                shadow.on_remote_access(remote.hca, wr.rkey,
-                                        wr.remote_addr, nbytes, "write")
-            rmr = remote.hca.pd.lookup_rkey(wr.rkey)
-            rmr.check_remote(wr.remote_addr, nbytes, Access.REMOTE_WRITE)
-            self.hca.stats.rdma_writes += 1
-            self.hca.stats.bytes_written += nbytes
-            self._m_write_ops.inc()
-            self._m_write_bytes.inc(nbytes)
-        else:
-            self.hca.stats.sends += 1
-            self.hca.stats.bytes_sent += nbytes
-            self._m_send_ops.inc()
-            self._m_send_bytes.inc(nbytes)
-
+        self._admit_write_or_send(wr, remote, nbytes)
         psn = self.psn
         self.psn += 1
         crc = zlib.crc32(payload)
-        for attempt in range(cfg.rc_retry_cnt + 1):
-            if attempt:
-                faults.stats.retransmissions += 1
-                self._m_retrans.inc()
-            t0 = sim.now
-            yield sim.timeout(cfg.pci_latency)
-            if nbytes:
-                route = self.hca.dma_route_to(remote.hca)
-                yield self.hca.net.transfer(
-                    nbytes, route, label=f"qp{self.qpn}.{wr.opcode.value}")
-            self.hca.timeline.span(
-                f"node{self.hca.node_id}.hca", wr.opcode.value, t0,
-                sim.now, cat="rdma",
-                args={"bytes": nbytes, "qp": self.qpn,
-                      "attempt": attempt})
-            ack = sim.event()
-            sim.spawn(self._deliver_rc(wr, payload, crc, remote, psn, ack),
-                      name=f"qp{self.qpn}.deliver_rc")
-            status = yield from self._await_response(
-                ack, self._retry_timeout(attempt, nbytes))
-            if status is not _TIMED_OUT:
-                self._complete(
-                    wr, status,
-                    nbytes if status is WcStatus.SUCCESS else 0)
-                return
-        self._enter_error(wr)
+        status = yield from self._stop_and_wait(
+            wr, remote, lambda ack: self._deliver_rc(
+                wr, payload, crc, remote, psn, ack),
+            nbytes, drain=nbytes)
+        if status is not _TIMED_OUT:
+            self._complete(wr, status,
+                           nbytes if status is WcStatus.SUCCESS else 0)
 
     def _deliver_rc(self, wr: WorkRequest, payload: bytes, crc: int,
                     remote: "QueuePair", psn: int, ack: Event
@@ -574,24 +651,18 @@ class QueuePair:
         sim, cfg = self.hca.sim, self.hca.cfg
         faults = self.hca.faults
         src, dst = self.hca.node_id, remote.hca.node_id
-        verdict, extra = faults.packet_verdict(src, dst, sim.now)
-        if verdict == "drop":
+        verdict = yield from self._lossy_leg(src, dst, fragile=False)
+        if verdict is None:
             return  # no ack: the requester times out and retransmits
-        if extra:
-            yield sim.timeout(extra)
-        yield sim.timeout(self.hca.fabric.latency(src, dst))
         yield sim.timeout(cfg.pci_latency + cfg.hca_recv_processing)
         if verdict == "corrupt":
             # a byte flipped in transit; the responder's invariant CRC
             # rejects the packet (silent discard -> requester timeout).
-            corrupted = faults.corrupt(payload, src, dst)
-            if zlib.crc32(corrupted) != crc:
+            if zlib.crc32(faults.corrupt(payload, src, dst)) != crc:
                 faults.stats.crc_detected += 1
                 return
             # empty payloads have nothing to flip; fall through
 
-        nbytes = len(payload)
-        shadow = remote.hca.shadow
         if psn < remote.expected_psn:
             # duplicate retransmit: do NOT place again, just re-ack the
             # cached outcome so the requester can complete.
@@ -599,267 +670,103 @@ class QueuePair:
             cache = remote._resp_cache
             status = (cache[1] if cache and cache[0] == psn
                       else WcStatus.SUCCESS)
-        elif wr.opcode is Opcode.RDMA_WRITE:
-            if nbytes:
-                if shadow is not None:
-                    shadow.on_rdma_write(remote.hca, wr.remote_addr,
-                                         nbytes, self.qpn)
-                remote.hca.mem.write(wr.remote_addr, payload)
-                watch = remote.hca._placement_watch.get(wr.remote_addr)
-                if watch is not None:
-                    watch()
-            status = WcStatus.SUCCESS
-            remote._resp_cache = (psn, status)
-            remote.expected_psn = psn + 1
-            remote.hca.inbound_gate.open()
-        else:  # SEND consumes a receive WQE
-            status = WcStatus.SUCCESS
-            rr = None
-            if remote.srq is not None:
-                rr = remote.srq.try_consume()
-                if rr is None:
-                    # RNR NAK: discard before consuming a PSN and send
-                    # no ack — the requester's stop-and-wait machinery
-                    # retransmits after its timeout, by which time the
-                    # consumer may have replenished the pool.
-                    return
-            elif not remote._rq:
-                remote.error = True
-                status = WcStatus.RNR_RETRY_EXC_ERR
-            else:
-                rr = remote._rq.popleft()
-            if rr is not None:
-                if rr.total_length < nbytes:
-                    remote.error = True
-                    status = WcStatus.LOC_LEN_ERR
+        else:
+            if wr.opcode is Opcode.RDMA_WRITE:
+                self._place_write(wr, payload, remote)
+                status = WcStatus.SUCCESS
+            else:  # SEND consumes a receive WQE
+                if remote.srq is not None:
+                    rr = remote.srq.try_consume()
+                    if rr is None:
+                        # RNR NAK: discard before consuming a PSN and
+                        # send no ack — the requester's stop-and-wait
+                        # machinery retransmits after its timeout, by
+                        # which time the consumer may have replenished
+                        # the pool.
+                        return
                 else:
-                    off = 0
-                    for sge in rr.sges:
-                        take = min(sge.length, nbytes - off)
-                        if take <= 0:
-                            break
-                        if shadow is not None:
-                            shadow.on_rdma_write(remote.hca, sge.addr,
-                                                 take, self.qpn,
-                                                 op="send")
-                        remote.hca.mem.write(sge.addr,
-                                             payload[off:off + take])
-                        off += take
-                    remote._m_recv_ops.inc()
-                    remote._m_recv_bytes.inc(nbytes)
-                    remote.recv_cq.push(Completion(
-                        wr_id=rr.wr_id, status=WcStatus.SUCCESS,
-                        opcode=Opcode.RECV, byte_len=nbytes,
-                        qp_num=remote.qpn))
+                    rr = remote._rq.popleft() if remote._rq else None
+                # an error status travels back on the ack leg and is
+                # cached under the PSN like a success
+                status = self._place_send(payload, remote, rr)
             remote._resp_cache = (psn, status)
             remote.expected_psn = psn + 1
             remote.hca.inbound_gate.open()
         # ack leg back to the requester, itself subject to link faults
         # (a corrupted ack is discarded like a lost one).
-        averdict, aextra = faults.packet_verdict(dst, src, sim.now)
-        if averdict in ("drop", "corrupt"):
-            if averdict == "corrupt":
-                faults.stats.crc_detected += 1
-            return
-        if aextra:
-            yield sim.timeout(aextra)
-        yield sim.timeout(self.hca.fabric.latency(dst, src))
-        if not ack.triggered:
+        if (yield from self._lossy_leg(dst, src)) and not ack.triggered:
             ack.succeed(status)
 
-    def _execute_read_rc(self, wr: WorkRequest) -> Generator:
-        sim, cfg = self.hca.sim, self.hca.cfg
-        faults = self.hca.faults
-        remote = self.remote
-        assert remote is not None
+    def _execute_read_rc(self, wr: WorkRequest,
+                         remote: "QueuePair") -> Generator:
         nbytes = wr.total_length
         # validate both ends up front (first-packet NAK semantics)
-        for sge in wr.sges:
-            self.hca.pd.lookup_lkey(sge.lkey).check_local(sge.addr,
-                                                          sge.length)
-        shadow = remote.hca.shadow
-        if shadow is not None:
-            shadow.on_remote_access(remote.hca, wr.rkey,
-                                    wr.remote_addr, nbytes, "read")
-        rmr = remote.hca.pd.lookup_rkey(wr.rkey)
-        rmr.check_remote(wr.remote_addr, nbytes, Access.REMOTE_READ)
+        self._check_local(wr.sges)
+        self._check_remote(wr, remote, nbytes, Access.REMOTE_READ, "read")
         self.psn += 1
-        t0 = sim.now
+        t0 = self.hca.sim.now
         # a read is idempotent: on timeout the whole request/response
         # exchange is simply reissued — no dedup needed at the
         # responder, and the timeout budget covers both legs plus the
         # serialized responder turnaround.
-        for attempt in range(cfg.rc_retry_cnt + 1):
-            if attempt:
-                faults.stats.retransmissions += 1
-                self._m_retrans.inc()
-            done = sim.event()
-            sim.spawn(self._read_exchange_rc(wr, remote, nbytes, done),
-                      name=f"qp{self.qpn}.read_rc")
-            result = yield from self._await_response(
-                done, self._retry_timeout(attempt, 2 * nbytes))
-            if result is not _TIMED_OUT:
-                break
-        else:
-            self._enter_error(wr)
-            return
-        if nbytes:
-            off = 0
-            local_shadow = self.hca.shadow
-            for sge in wr.sges:
-                if local_shadow is not None:
-                    local_shadow.on_rdma_write(self.hca, sge.addr,
-                                               sge.length, self.qpn,
-                                               op="read-landing")
-                self.hca.mem.write(sge.addr, result[off:off + sge.length])
-                off += sge.length
-        self.hca.stats.rdma_reads += 1
-        self.hca.stats.bytes_read += nbytes
-        self._m_read_ops.inc()
-        self._m_read_bytes.inc(nbytes)
-        self.hca.timeline.span(
-            f"node{self.hca.node_id}.hca", "rdma_read", t0, sim.now,
-            cat="rdma", args={"bytes": nbytes, "qp": self.qpn})
-        self.hca.inbound_gate.open()
-        self._complete(wr, WcStatus.SUCCESS, nbytes)
+        payload = yield from self._stop_and_wait(
+            wr, remote, lambda done: self._read_exchange_rc(
+                wr, remote, nbytes, done), 2 * nbytes)
+        if payload is not _TIMED_OUT:
+            self._land_read(wr, payload, t0)
 
     def _read_exchange_rc(self, wr: WorkRequest, remote: "QueuePair",
                           nbytes: int, done: Event) -> Generator:
         sim, cfg = self.hca.sim, self.hca.cfg
-        faults = self.hca.faults
         src, dst = self.hca.node_id, remote.hca.node_id
-        verdict, extra = faults.packet_verdict(src, dst, sim.now)
-        if verdict in ("drop", "corrupt"):
-            if verdict == "corrupt":
-                faults.stats.crc_detected += 1
+        if not (yield from self._lossy_leg(src, dst)):
             return
-        if extra:
-            yield sim.timeout(extra)
-        yield sim.timeout(self.hca.fabric.latency(src, dst))
-        yield remote.hca.read_engine.acquire()
-        try:
-            yield sim.timeout(cfg.hca_read_response)
-            payload = remote.hca.mem.read(wr.remote_addr, nbytes)
-            yield sim.timeout(cfg.pci_latency)
-            if nbytes:
-                route = remote.hca.dma_route_to(self.hca)
-                yield self.hca.net.transfer(nbytes, route,
-                                            label=f"qp{self.qpn}.read")
-        finally:
-            remote.hca.read_engine.release()
-        rverdict, rextra = faults.packet_verdict(dst, src, sim.now)
-        if rverdict == "drop":
+        payload = yield from self._serve_read(wr, remote, nbytes)
+        # the requester's CRC rejects a corrupted response — unless it
+        # is empty, with nothing to flip
+        if not (yield from self._lossy_leg(dst, src, fragile=bool(nbytes))):
             return
-        if rverdict == "corrupt":
-            if nbytes:
-                faults.stats.crc_detected += 1
-                return  # CRC rejects the response at the requester
-        if rextra:
-            yield sim.timeout(rextra)
-        yield sim.timeout(self.hca.fabric.latency(dst, src))
         yield sim.timeout(cfg.pci_latency + cfg.hca_recv_processing)
         if not done.triggered:
             done.succeed(payload)
 
-    def _execute_atomic_rc(self, wr: WorkRequest) -> Generator:
-        sim, cfg = self.hca.sim, self.hca.cfg
-        faults = self.hca.faults
-        remote = self.remote
-        assert remote is not None
-        if len(wr.sges) != 1 or wr.sges[0].length != 8:
-            raise IBError("atomics need exactly one 8-byte local SGE")
-        sge = wr.sges[0]
-        self.hca.pd.lookup_lkey(sge.lkey).check_local(sge.addr, 8)
-        shadow = remote.hca.shadow
-        if shadow is not None:
-            shadow.on_remote_access(remote.hca, wr.rkey,
-                                    wr.remote_addr, 8, "atomic")
-        rmr = remote.hca.pd.lookup_rkey(wr.rkey)
-        rmr.check_remote(wr.remote_addr, 8, Access.REMOTE_ATOMIC)
-        if wr.remote_addr % 8:
-            raise AccessError("atomic target must be 8-byte aligned")
+    def _execute_atomic_rc(self, wr: WorkRequest,
+                           remote: "QueuePair") -> Generator:
+        sge = self._atomic_sge(wr)
+        self._check_atomic_target(wr, remote)
         psn = self.psn
         self.psn += 1
-        for attempt in range(cfg.rc_retry_cnt + 1):
-            if attempt:
-                faults.stats.retransmissions += 1
-                self._m_retrans.inc()
-            done = sim.event()
-            sim.spawn(self._atomic_exchange_rc(wr, remote, psn, done),
-                      name=f"qp{self.qpn}.atomic_rc")
-            old_raw = yield from self._await_response(
-                done, self._retry_timeout(attempt, 16))
-            if old_raw is not _TIMED_OUT:
-                break
-        else:
-            self._enter_error(wr)
-            return
-        local_shadow = self.hca.shadow
-        if local_shadow is not None:
-            local_shadow.on_rdma_write(self.hca, sge.addr, 8, self.qpn,
-                                       op="atomic-landing")
-        self.hca.mem.write(sge.addr, old_raw)
-        self.hca.stats.atomics += 1
-        self._m_atomic_ops.inc()
-        self.hca.inbound_gate.open()
-        self._complete(wr, WcStatus.SUCCESS, 8)
+        old_raw = yield from self._stop_and_wait(
+            wr, remote, lambda done: self._atomic_exchange_rc(
+                wr, remote, psn, done), 16)
+        if old_raw is not _TIMED_OUT:
+            self._land_atomic(wr, sge, old_raw)
 
     def _atomic_exchange_rc(self, wr: WorkRequest, remote: "QueuePair",
                             psn: int, done: Event) -> Generator:
         sim, cfg = self.hca.sim, self.hca.cfg
-        faults = self.hca.faults
         src, dst = self.hca.node_id, remote.hca.node_id
-        verdict, extra = faults.packet_verdict(src, dst, sim.now)
-        if verdict in ("drop", "corrupt"):
-            if verdict == "corrupt":
-                faults.stats.crc_detected += 1
+        if not (yield from self._lossy_leg(src, dst)):
             return
-        if extra:
-            yield sim.timeout(extra)
-        yield sim.timeout(self.hca.fabric.latency(src, dst))
         yield remote.hca.read_engine.acquire()
         try:
             yield sim.timeout(cfg.hca_read_response)
             if psn < remote.expected_psn:
                 # duplicate retransmit: return the cached old value —
                 # the RMW must not run twice.
-                faults.stats.duplicates += 1
+                self.hca.faults.stats.duplicates += 1
                 cache = remote._resp_cache
                 if not cache or cache[0] != psn:
                     return  # stale beyond the cache: no response
                 old_raw = cache[1]
             else:
-                shadow = remote.hca.shadow
-                old_raw = remote.hca.mem.read(wr.remote_addr, 8)
-                old = struct.unpack("<Q", old_raw)[0]
-                if wr.opcode is Opcode.FETCH_ADD:
-                    new = (old + wr.compare_add) & 0xFFFFFFFFFFFFFFFF
-                    if shadow is not None:
-                        shadow.on_rdma_write(remote.hca, wr.remote_addr,
-                                             8, self.qpn, op="atomic")
-                    remote.hca.mem.write(wr.remote_addr,
-                                         struct.pack("<Q", new))
-                else:  # CMP_SWAP
-                    if old == wr.compare_add:
-                        if shadow is not None:
-                            shadow.on_rdma_write(
-                                remote.hca, wr.remote_addr, 8,
-                                self.qpn, op="atomic")
-                        remote.hca.mem.write(wr.remote_addr,
-                                             struct.pack("<Q", wr.swap))
+                old_raw = self._atomic_rmw(wr, remote)
                 remote._resp_cache = (psn, old_raw)
                 remote.expected_psn = psn + 1
-                remote.hca.inbound_gate.open()
         finally:
             remote.hca.read_engine.release()
-        rverdict, rextra = faults.packet_verdict(dst, src, sim.now)
-        if rverdict in ("drop", "corrupt"):
-            if rverdict == "corrupt":
-                faults.stats.crc_detected += 1
+        if not (yield from self._lossy_leg(dst, src)):
             return
-        if rextra:
-            yield sim.timeout(rextra)
-        yield sim.timeout(self.hca.fabric.latency(dst, src))
         yield sim.timeout(cfg.pci_latency + cfg.hca_recv_processing)
         if not done.triggered:
             done.succeed(old_raw)

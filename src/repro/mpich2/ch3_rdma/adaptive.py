@@ -23,7 +23,6 @@ from typing import Generator
 
 from ...ib.types import Opcode, WcStatus
 from ..adi3 import MpiError
-from ..ch3 import PKT_RNDV_FIN
 from .device import Ch3RdmaDevice
 
 __all__ = ["Ch3AdaptiveDevice"]
@@ -74,21 +73,4 @@ class Ch3AdaptiveDevice(Ch3RdmaDevice):
                     f"{peer} failed: {cqe.status}")
             zc.done = True
             return True
-        if cqe.opcode is not Opcode.RDMA_WRITE:
-            raise MpiError(f"unexpected completion {cqe}")
-        state = self.rndv_inflight.pop((peer, cqe.wr_id), None)
-        if state is None:
-            raise MpiError(f"completion for unknown rendezvous "
-                           f"write {cqe.wr_id}")
-        if cqe.status is not WcStatus.SUCCESS:
-            state.req.fail(MpiError(
-                f"rendezvous write failed: {cqe.status}"))
-            return False
-        yield from self.channel.regcache.release(state.mr)
-        del self.rndv_sends[state.req.req_id]
-        # FIN tells the receiver the data is in place
-        self._enqueue_packet(state.peer, PKT_RNDV_FIN, 0, 0, 0,
-                             [], sreq=state.req.req_id)
-        state.req.complete(count=state.size)
-        yield from self._progress_send(self.conn_state[state.peer])
-        return True
+        return (yield from super()._reap_completion(peer, st, cqe))

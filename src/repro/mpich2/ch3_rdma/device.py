@@ -236,23 +236,28 @@ class Ch3RdmaDevice(Ch3Device):
                     break
                 yield from self.channel.ctx.cpu.work(
                     self.cfg.cq_poll_cpu)
-                if cqe.opcode is not Opcode.RDMA_WRITE:
-                    raise MpiError(f"unexpected completion {cqe}")
-                state = self.rndv_inflight.pop((peer, cqe.wr_id), None)
-                if state is None:
-                    raise MpiError(f"completion for unknown rendezvous "
-                                   f"write {cqe.wr_id}")
-                if cqe.status is not WcStatus.SUCCESS:
-                    state.req.fail(MpiError(
-                        f"rendezvous write failed: {cqe.status}"))
-                    continue
-                moved = True
-                yield from self.channel.regcache.release(state.mr)
-                del self.rndv_sends[state.req.req_id]
-                # FIN tells the receiver the data is in place
-                self._enqueue_packet(state.peer, PKT_RNDV_FIN, 0, 0, 0,
-                                     [], sreq=state.req.req_id)
-                state.req.complete(count=state.size)
-                yield from self._progress_send(
-                    self.conn_state[state.peer])
+                moved |= yield from self._reap_completion(peer, st, cqe)
         return moved
+
+    def _reap_completion(self, peer: int, st, cqe
+                         ) -> Generator[None, None, bool]:
+        """Retire one send-CQ entry; returns whether it moved a
+        message forward."""
+        if cqe.opcode is not Opcode.RDMA_WRITE:
+            raise MpiError(f"unexpected completion {cqe}")
+        state = self.rndv_inflight.pop((peer, cqe.wr_id), None)
+        if state is None:
+            raise MpiError(f"completion for unknown rendezvous "
+                           f"write {cqe.wr_id}")
+        if cqe.status is not WcStatus.SUCCESS:
+            state.req.fail(MpiError(
+                f"rendezvous write failed: {cqe.status}"))
+            return False
+        yield from self.channel.regcache.release(state.mr)
+        del self.rndv_sends[state.req.req_id]
+        # FIN tells the receiver the data is in place
+        self._enqueue_packet(state.peer, PKT_RNDV_FIN, 0, 0, 0,
+                             [], sreq=state.req.req_id)
+        state.req.complete(count=state.size)
+        yield from self._progress_send(self.conn_state[state.peer])
+        return True

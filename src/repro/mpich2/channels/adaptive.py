@@ -48,8 +48,8 @@ class AdaptiveChannel(ChunkedChannel):
     def _zc_check_get(self, conn: ChunkedConnection) -> bool:
         return not conn.zc_fastpath or conn.zc_read is not None
 
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
+    def __init__(self, **kw):
+        super().__init__(**kw)
         if self.tune_cfg.enabled:
             self.tuner = AdaptiveController(
                 rank=self.rank, cfg=self.tune_cfg, hw=self.cfg,

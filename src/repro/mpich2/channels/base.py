@@ -28,7 +28,6 @@ this invariant is property-tested across all five implementations.
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import Dict, Generator, List, Optional, Sequence
 
 from ...config import ChannelConfig, HardwareConfig
@@ -198,45 +197,10 @@ class RdmaChannel(abc.ABC):
     #: gates); IB designs share one per-node gate.
     hint_per_connection: bool = False
 
-    #: construction parameters, in the order the pre-registry API took
-    #: them positionally (drives the deprecation shim below).
-    _INIT_PARAMS = ("rank", "node", "ctx", "cfg", "ch_cfg")
-
-    def __init__(self, *args, rank: Optional[int] = None, node=None,
-                 ctx: Optional[VapiContext] = None,
+    def __init__(self, *, rank: int, node, ctx: VapiContext,
                  cfg: Optional[HardwareConfig] = None,
                  ch_cfg: Optional[ChannelConfig] = None,
                  tune: Optional[TuneConfig] = None):
-        if args:
-            # Deprecated positional form: Channel(rank, node, ctx,
-            # cfg, ch_cfg).  Map onto the keyword API once, warn once.
-            if len(args) > len(self._INIT_PARAMS):
-                raise TypeError(
-                    f"{type(self).__name__}() takes at most "
-                    f"{len(self._INIT_PARAMS)} positional arguments "
-                    f"({len(args)} given)")
-            warnings.warn(
-                f"positional arguments to {type(self).__name__}() are "
-                f"deprecated; pass "
-                f"{', '.join(self._INIT_PARAMS)} (and tune) by keyword "
-                f"or use repro.mpich2.channels.create()",
-                DeprecationWarning, stacklevel=2)
-            given = dict(zip(self._INIT_PARAMS, args))
-            for name, kw_val in (("rank", rank), ("node", node),
-                                 ("ctx", ctx), ("cfg", cfg),
-                                 ("ch_cfg", ch_cfg)):
-                if name in given and kw_val is not None:
-                    raise TypeError(
-                        f"{type(self).__name__}() got multiple values "
-                        f"for argument {name!r}")
-            rank = given.get("rank", rank)
-            node = given.get("node", node)
-            ctx = given.get("ctx", ctx)
-            cfg = given.get("cfg", cfg)
-            ch_cfg = given.get("ch_cfg", ch_cfg)
-        if rank is None or node is None or ctx is None:
-            raise TypeError(
-                f"{type(self).__name__}() requires rank, node and ctx")
         self.rank = rank
         self.node = node
         self.ctx = ctx

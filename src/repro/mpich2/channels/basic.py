@@ -68,8 +68,8 @@ class BasicConnection(Connection):
 @register("basic")
 class BasicChannel(RdmaChannel):
 
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
+    def __init__(self, **kw):
+        super().__init__(**kw)
         m = self.metrics
         self._m_data_writes = m.counter("data_writes")
         self._m_data_bytes = m.counter("data_bytes")

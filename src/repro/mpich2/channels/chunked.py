@@ -104,8 +104,8 @@ class ChunkedChannel(RdmaChannel):
     PIPELINED = False
     ZEROCOPY = False
 
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
+    def __init__(self, **kw):
+        super().__init__(**kw)
         self.regcache = RegistrationCache(
             self.ctx, capacity=self.ch_cfg.regcache_capacity,
             enabled=self.ch_cfg.registration_cache,

@@ -25,8 +25,8 @@ __all__ = ["MultiMethodChannel"]
 class MultiMethodChannel(RdmaChannel):
     hint_per_connection = True
 
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
+    def __init__(self, **kw):
+        super().__init__(**kw)
         sub = dict(rank=self.rank, node=self.node, ctx=self.ctx,
                    cfg=self.cfg, ch_cfg=self.ch_cfg)
         self.shm = ShmChannel(**sub)

@@ -58,8 +58,8 @@ def tcp_closed(tcp: TcpConnection) -> bool:
 class TcpChannel(RdmaChannel):
     hint_per_connection = True
 
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
+    def __init__(self, **kw):
+        super().__init__(**kw)
         self.stack = TcpStack(self.node.cluster.sim, self.node,
                               self.cfg)
 

@@ -9,8 +9,8 @@ where those observations live:
   channel design and CH3;
 * :mod:`repro.obs.timeline` — span recorder with Chrome-trace export
   (one track per rank, one per HCA);
-* :mod:`repro.obs.msgtrace` — message-lifecycle tracer (the successor
-  of ``repro.mpi.trace``), now also tracking per-rank vector clocks;
+* :mod:`repro.obs.msgtrace` — message-lifecycle tracer, also
+  tracking per-rank vector clocks;
 * :mod:`repro.obs.waitgraph` — wait-for-graph deadlock diagnosis:
   converts a drained-queue hang into a ``DeadlockError`` naming the
   wait cycle and the last causal message per edge;

@@ -1,5 +1,5 @@
-"""Machine-readable benchmark results (``BENCH_*.json``) and the
-regression gate.
+"""Machine-readable benchmark results
+(``benchmarks/results/BENCH_<suite>.json``) and the regression gate.
 
 A benchmark suite produces a result document::
 

@@ -1,4 +1,4 @@
-"""Message-lifecycle tracer (successor of ``repro.mpi.trace``).
+"""Message-lifecycle tracer.
 
 Hooks the CH3 devices of a world and records every point-to-point
 message's (posted, sent, delivered) times plus whether it arrived

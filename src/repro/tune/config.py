@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import KB, _ConfigMixin, deprecated_positional
+from ..config import KB, _ConfigMixin
 
 __all__ = ["TuneConfig"]
 
 
-@deprecated_positional
 @dataclass(frozen=True, kw_only=True)
 class TuneConfig(_ConfigMixin):
     """Bounds and cadence for the adaptive controller.

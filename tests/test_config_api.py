@@ -1,32 +1,32 @@
-"""The kw-only config API: deprecation shim, from_dict/from_env,
-coercion, replace, and validation."""
+"""The kw-only config API: positional construction refused,
+from_dict/from_env, coercion, replace, and validation."""
 
 import warnings
 
 import pytest
 
 from repro.config import KB, ChannelConfig, HardwareConfig
+from repro.mpich2.channels.basic import BasicChannel
 from repro.tune import TuneConfig
 
 ALL_CONFIGS = (HardwareConfig, ChannelConfig, TuneConfig)
 
 
 class TestPositionalShim:
-    def test_positional_warns_and_maps_in_declaration_order(self):
-        with pytest.warns(DeprecationWarning,
-                          match="positional arguments"):
-            cfg = ChannelConfig(256 * KB, 32 * KB)
-        # declaration order: ring_size, chunk_size, ...
-        assert cfg.ring_size == 256 * KB
-        assert cfg.chunk_size == 32 * KB
-        # remaining fields keep their defaults
-        assert cfg.zerocopy_threshold == 32 * KB
+    """The one-release positional shim is gone: every config class and
+    every channel constructor is keyword-only."""
 
-    def test_mixed_positional_and_keyword(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = ChannelConfig(256 * KB, regcache_capacity=8)
-        assert cfg.ring_size == 256 * KB
-        assert cfg.regcache_capacity == 8
+    @pytest.mark.parametrize("build", [
+        lambda: HardwareConfig(1.0),
+        lambda: ChannelConfig(256 * KB, 32 * KB),
+        lambda: ChannelConfig(256 * KB, regcache_capacity=8),
+        lambda: TuneConfig(True),
+        lambda: BasicChannel(0, None, None),
+    ], ids=["HardwareConfig", "ChannelConfig", "ChannelConfig-mixed",
+            "TuneConfig", "channel"])
+    def test_positional_construction_is_type_error(self, build):
+        with pytest.raises(TypeError, match="positional"):
+            build()
 
     @pytest.mark.parametrize("cls", ALL_CONFIGS)
     def test_keyword_construction_is_clean(self, cls):
@@ -35,17 +35,6 @@ class TestPositionalShim:
             cls()  # defaults
             cls.from_dict({})
             cls.from_env(env={})
-
-    def test_too_many_positionals_is_type_error(self):
-        nfields = 11  # ChannelConfig field count
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="at most"):
-                ChannelConfig(*([1] * (nfields + 1)))
-
-    def test_duplicate_field_is_type_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                ChannelConfig(256 * KB, ring_size=128 * KB)
 
 
 class TestFromDict:

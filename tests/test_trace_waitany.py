@@ -1,21 +1,24 @@
-"""Message tracer and the Waitany/Waitsome/Testall request APIs."""
+"""Message tracer (lifecycle records, timeline integration) and the
+Waitany/Waitsome/Testall request APIs."""
 
 import pytest
 
 from repro.mpi import run_mpi
 from repro.mpi.runner import build_world
-from repro.obs.msgtrace import MessageTracer
+from repro.obs import NULL_OBS, Observability
+from repro.obs.msgtrace import MessageRecord, MessageTracer
+
+
+def _run_traced(prog, nranks=2, design="zerocopy", obs=None):
+    world = build_world(nranks, design, obs=obs)
+    tracer = MessageTracer.attach(world)
+    procs = [world.cluster.spawn(prog(ctx), f"rank{ctx.rank}")
+             for ctx in world.contexts]
+    world.cluster.run()
+    return tracer, [p.value for p in procs]
 
 
 class TestTracer:
-    def _run_traced(self, prog, nranks=2, design="zerocopy"):
-        world = build_world(nranks, design)
-        tracer = MessageTracer.attach(world)
-        procs = [world.cluster.spawn(prog(ctx), f"rank{ctx.rank}")
-                 for ctx in world.contexts]
-        world.cluster.run()
-        return tracer, [p.value for p in procs]
-
     def test_records_message_lifecycle(self):
         def prog(mpi):
             if mpi.rank == 0:
@@ -24,7 +27,7 @@ class TestTracer:
                 obj, _ = yield from mpi.recv(source=0, tag=9)
                 return obj
 
-        tracer, results = self._run_traced(prog)
+        tracer, results = _run_traced(prog)
         # user message + any collective traffic; find the tagged one
         recs = [m for m in tracer.messages if m.tag == 9]
         assert len(recs) == 1
@@ -49,7 +52,7 @@ class TestTracer:
                 yield from mpi.recv(source=0, tag=5)
                 yield from mpi.recv(source=0, tag=3)
 
-        tracer, _ = self._run_traced(prog)
+        tracer, _ = _run_traced(prog)
         recs = [m for m in tracer.messages if m.tag == 3]
         assert recs[0].unexpected
         recs5 = [m for m in tracer.messages if m.tag == 5]
@@ -63,7 +66,7 @@ class TestTracer:
             else:
                 yield from mpi.recv(source=0, tag=4)
 
-        tracer, _ = self._run_traced(prog)
+        tracer, _ = _run_traced(prog)
         recs = [m for m in tracer.messages if m.tag == 4]
         assert not recs[0].unexpected
 
@@ -76,10 +79,51 @@ class TestTracer:
                 else:
                     yield from mpi.recv(source=0, tag=i)
 
-        tracer, _ = self._run_traced(prog)
+        tracer, _ = _run_traced(prog)
         assert len(tracer.delivered()) >= 5
         assert "messages" in tracer.summary()
         assert 0.0 <= tracer.unexpected_fraction() <= 1.0
+
+
+def _pingpong(mpi):
+    buf = mpi.alloc(256, "trace.buf")
+    if mpi.rank == 0:
+        buf.view()[:] = 0x7E
+        yield from mpi.Send(buf, dest=1, tag=5)
+        yield from mpi.Recv(buf, source=1, tag=6)
+    else:
+        yield from mpi.Recv(buf, source=0, tag=5)
+        yield from mpi.Send(buf, dest=0, tag=6)
+
+
+class TestTimelineIntegration:
+    def test_delivered_messages_land_on_the_timeline(self):
+        obs = Observability()
+        _run_traced(_pingpong, design="piggyback", obs=obs)
+        msgs = [a for a in obs.timeline.async_spans if a.cat == "msg"]
+        assert len(msgs) == 2
+        by_track = {a.track for a in msgs}
+        assert by_track == {"rank0", "rank1"}
+        for a in msgs:
+            assert a.t1 > a.t0
+            assert a.args["bytes"] == 256
+
+    def test_without_obs_nothing_is_recorded(self):
+        tracer, _ = _run_traced(_pingpong, design="piggyback")
+        assert tracer.timeline is NULL_OBS.timeline
+        assert len(NULL_OBS.timeline) == 0
+
+
+class TestMessageRecord:
+    def test_latency_and_repr(self):
+        rec = MessageRecord(src=0, dst=1, tag=3, context=0, size=64,
+                            t_posted=1.0)
+        assert rec.latency is None
+        assert "?" in repr(rec)
+        rec.t_delivered = 1.5
+        assert rec.latency == 0.5
+        rec.unexpected = True
+        assert "unexpected" in repr(rec)
 
 
 class TestWaitVariants:
