@@ -20,6 +20,7 @@ import sys
 import time
 
 from . import oracle
+from ..mpi.runner import DESIGNS
 from .differ import DEFAULT_DESIGNS, differential, run_spec
 from .generate import generate_fault_plan, generate_spec
 from .mutations import CATALOG, run_smoke
@@ -27,9 +28,8 @@ from .shrink import ShrinkResult, shrink, write_replay, replay as _replay
 
 #: seeds of the checked-in golden replay corpus (see golden --write).
 GOLDEN_SEEDS = (11, 23, 31, 47, 59, 101, 149, 211, 307, 401)
-#: designs pinned by the golden corpus (kept small for CI runtime;
-#: the fuzz matrix still covers every design).
-GOLDEN_DESIGNS = ("piggyback", "zerocopy", "tcp", "srq", "srq-lazy")
+#: designs pinned by the golden corpus: every runnable design.
+GOLDEN_DESIGNS = tuple(DESIGNS)
 
 
 def _parse_designs(arg):
