@@ -255,9 +255,12 @@ class Ch3RdmaDevice(Ch3Device):
             return False
         yield from self.channel.regcache.release(state.mr)
         del self.rndv_sends[state.req.req_id]
-        # FIN tells the receiver the data is in place
-        self._enqueue_packet(state.peer, PKT_RNDV_FIN, 0, 0, 0,
-                             [], sreq=state.req.req_id)
-        state.req.complete(count=state.size)
+        # FIN tells the receiver the data is in place.  The send
+        # completes only once the FIN is in the channel: a FIN still
+        # queued behind a full ring needs the sender to keep
+        # progressing, and an open request is what keeps it there.
+        self._enqueue_packet(
+            state.peer, PKT_RNDV_FIN, 0, 0, 0, [], sreq=state.req.req_id,
+            on_complete=lambda: state.req.complete(count=state.size))
         yield from self._progress_send(self.conn_state[state.peer])
         return True

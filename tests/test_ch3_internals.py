@@ -197,3 +197,39 @@ class TestUnexpectedQueueSemantics:
 
         results, _ = run_mpi(2, prog, design="zerocopy")
         assert results[0] == (4, b"follows")
+
+
+class TestRendezvousFin:
+    @pytest.mark.parametrize("design", ["ch3", "adaptive"])
+    def test_fin_behind_a_full_ring_still_reaches_the_receiver(self,
+                                                               design):
+        """Regression: a rendezvous send completed before its FIN was
+        in the channel.  With an 8 KB ring, a window of 32 KB sends
+        leaves FINs queued behind a full ring; the sender's Waitall
+        returned, nothing drove its progress again, and the receiver
+        hung waiting for the FINs.  The request now completes when its
+        FIN drains into the ring."""
+        import numpy as np
+
+        from repro.config import KB, ChannelConfig
+        from repro.mpi import run_mpi
+
+        n, size = 16, 32 * KB
+
+        def prog(mpi):
+            bufs = [mpi.alloc(size) for _ in range(n)]
+            reqs = []
+            for i, buf in enumerate(bufs):
+                if mpi.rank == 0:
+                    buf.write(np.full(size, i + 1, np.uint8))
+                    reqs.append((yield from mpi.Isend(buf, 1, i)))
+                else:
+                    reqs.append((yield from mpi.Irecv(buf, 0, i)))
+            yield from mpi.Waitall(reqs)
+            if mpi.rank == 1:
+                return [bytes(buf.read()) for buf in bufs]
+
+        results, _ = run_mpi(2, prog, design=design,
+                             ch_cfg=ChannelConfig(ring_size=8 * KB,
+                                                  chunk_size=2 * KB))
+        assert results[1] == [bytes([i + 1]) * size for i in range(n)]

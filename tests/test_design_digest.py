@@ -292,7 +292,7 @@ EXPECTED = {
         'small/lossy/pp2k': '0.00011724298165137614 166 bd397c1d81729847',
         'small/lossy/pp40k': '0.0007812987155963304 494 764d46196a462491',
         'small/lossy/w6x16k': '0.000727086063761469 1736 b50806a1a23485de',
-        'small/lossy/w8x64k': 'DeadlockError',
+        'small/lossy/w8x64k': '0.0011546181192660563 1826 7b341496206ed216',
         'small/lossy/a2a1k': '0.0002364592201834863 1008 b257bf5b2aa1f338',
     },
     'multimethod': {
@@ -370,7 +370,7 @@ EXPECTED = {
         'small/lossy/pp2k': '0.00011724298165137614 166 cc03d6ba6d60826b',
         'small/lossy/pp40k': '0.0007812987155963304 494 b5b63a2c86defca7',
         'small/lossy/w6x16k': '0.000727086063761469 1736 eb9105da651f5491',
-        'small/lossy/w8x64k': 'DeadlockError',
+        'small/lossy/w8x64k': '0.0011546181192660563 1826 201f10af06bb9e22',
         'small/lossy/a2a1k': '0.0002364592201834863 1008 42e5265fc7c1405c',
     },
     'srq': {
