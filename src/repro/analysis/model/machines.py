@@ -7,6 +7,11 @@ intentionally literal: every guard corresponds to a guard in the
 runtime code (the docstrings say which), so a divergence between
 model and implementation is a transcription bug worth finding.
 
+The SRQ and mux models test the credit window with the predicates the
+runtime parts use (:func:`repro.mpich2.channels.parts.window_open` and
+``replenish_due``), looked up through that module at every step: a
+patch to a runtime predicate reaches the model too.
+
 Each model also carries named **mutations** — the same seeded bugs as
 ``repro/check/mutations.py``, transcribed at the model level — so the
 checker can demonstrate each runtime mutation's failure as an
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Type
 
+from ...mpich2.channels import parts
 from .checker import Model, State, Step
 
 __all__ = ["SrqCreditModel", "LazyConnectModel", "MuxPoolModel",
@@ -59,7 +65,7 @@ class SrqCreditModel(Model):
     * ``filled``     pool slots holding a delivered, unread message;
     * ``pool_free``  receive WQEs available in the SRQ;
     * ``consumed``   messages the receiver has copied out (``get``);
-    * ``last_credit``  the receiver's ``conn.last_credit_sent``;
+    * ``last_credit``  the receiver's ``conn.credits.credit_sent``;
     * ``credit_wire``  in-flight explicit credit writes (cumulative
       values, FIFO — RDMA writes on one QP are ordered);
     * ``peer_consumed``  the sender's view of ``consumed``.
@@ -87,7 +93,7 @@ class SrqCreditModel(Model):
         self.nmsgs = nmsgs
         self.credits = credits
         self.pool_slots = pool_slots
-        # SrqChannel.get: max(1, srq_credits // 2)
+        # SrqChannel.establish: max(1, srq_credits // 2)
         self.threshold = max(1, credits // 2)
 
     def initial(self) -> State:
@@ -97,8 +103,9 @@ class SrqCreditModel(Model):
               ) -> Iterator[Tuple[Step, State]]:
         (sent, inflight, filled, pool_free, consumed,
          last_credit, credit_wire, peer) = state
-        # put(): window guard `sent_msgs - peer_consumed >= credits`
-        if sent < self.nmsgs and sent - peer < self.credits:
+        # put(): the sender's window guard
+        if sent < self.nmsgs and parts.window_open(sent, peer,
+                                                    self.credits):
             yield (Step(f"send m{sent}", "sender",
                         msg=("sender", "receiver", f"m{sent}")),
                    (sent + 1, inflight + 1, filled, pool_free,
@@ -125,7 +132,8 @@ class SrqCreditModel(Model):
             if self.mutation == "replenish-off-by-one":
                 due = ncons - last_credit > self.credits
             else:
-                due = ncons - last_credit >= self.threshold
+                due = parts.replenish_due(ncons, last_credit,
+                                          self.threshold)
             label = f"consume m{consumed}"
             if due:
                 nlast = ncons
@@ -181,7 +189,8 @@ class SrqCreditModel(Model):
         (sent, inflight, filled, pool_free, consumed,
          _last, credit_wire, peer) = state
         why: Dict[str, str] = {}
-        if sent < self.nmsgs and sent - peer >= self.credits:
+        if sent < self.nmsgs and not parts.window_open(sent, peer,
+                                                        self.credits):
             why["sender"] = (
                 f"credit window starved: sent={sent} acked={peer} "
                 f"window={self.credits}, no credit in flight"
@@ -444,7 +453,8 @@ class MuxPoolModel(Model):
         for f in range(self.nflows):
             # send: per-flow credit window, append to the flow's QP
             if (sent[f] < self.msgs
-                    and sent[f] - acked[f] < self.credits):
+                    and parts.window_open(sent[f], acked[f],
+                                          self.credits)):
                 q = self._qp_of(f, sent[f])
                 nwires = list(wires)
                 nwires[q] = wires[q] + ((f, sent[f]),)
@@ -519,7 +529,8 @@ class MuxPoolModel(Model):
         why: Dict[str, str] = {}
         starved = [f for f in range(self.nflows)
                    if sent[f] < self.msgs
-                   and sent[f] - acked[f] >= self.credits]
+                   and not parts.window_open(sent[f], acked[f],
+                                             self.credits)]
         if starved:
             why["flows"] = (f"flow(s) {starved} starved at the "
                             f"credit window")

@@ -137,9 +137,9 @@ def _sge_tuples(call: ast.Call) -> Iterator[Tuple[ast.expr, ast.expr]]:
 class CreditPublishRule(Rule):
     """§4.3 flow control: marking credits as sent
     (``x.credit_sent = ...``) is only legal after the update actually
-    went on the wire — an ``rdma_write``/``post``/``build_chunk``
-    earlier in the same function.  Initializers are exempt; genuinely
-    piggybacked accounting must carry an allow-annotation."""
+    went on the wire — an ``rdma_write``/``post``/``build_chunk``/
+    ``publish`` earlier in the same function.  Initializers are exempt;
+    genuinely piggybacked accounting must carry an allow-annotation."""
 
     id = "credit-publish"
     description = "credit_sent advanced without publishing the update"
@@ -155,7 +155,7 @@ class CreditPublishRule(Rule):
                 node.lineno for node in ast.walk(fn)
                 if isinstance(node, ast.Call)
                 and _call_name(node) in ("rdma_write", "post",
-                                         "build_chunk")]
+                                         "build_chunk", "publish")]
             for node in ast.walk(fn):
                 if not (isinstance(node, ast.Assign)
                         or isinstance(node, ast.AugAssign)):

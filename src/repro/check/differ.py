@@ -19,7 +19,7 @@ reported as an error) or leaves rank processes unfinished at the cap
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,9 +35,9 @@ from .spec import (CollectivePhase, ComputePhase, DatatypePhase,
 __all__ = ["Observation", "Report", "run_spec", "differential",
            "DEFAULT_DESIGNS"]
 
-#: designs the differential matrix covers by default: every entry of
-#: the registry's design list.
-DEFAULT_DESIGNS: Tuple[str, ...] = DESIGNS
+#: designs the differential matrix covers by default: every row of the
+#: design table (the table itself, so a row added at runtime enrols).
+DEFAULT_DESIGNS: Iterable[str] = DESIGNS
 
 
 @dataclass
@@ -346,7 +346,7 @@ def run_spec(spec: WorkloadSpec, design: str,
 
 
 def differential(spec: WorkloadSpec,
-                 designs: Sequence[str] = DEFAULT_DESIGNS,
+                 designs: Iterable[str] = DEFAULT_DESIGNS,
                  tie_seeds: Sequence[Optional[int]] = (None,),
                  fault_plans: Sequence[Optional[FaultPlan]] = (None,),
                  ) -> Report:

@@ -162,7 +162,6 @@ def _mut_header_before_payload():
               self.staging_mr.lkey)],
             self.remote_base + base, self.remote_rkey,
             signaled=signaled)
-        self.chunks_sent += 1
         return wr
 
     return _patch(ring.RingSender, "post", bad_post)
@@ -170,24 +169,24 @@ def _mut_header_before_payload():
 
 def _mut_skip_tail_update():
     """Mark explicit credits as sent without the RDMA write."""
-    from ..mpich2.channels import ring
+    from ..mpich2.channels import parts
 
     def bad(self):
         self.credit_sent = self.consumed
         return None
         yield  # pragma: no cover - makes this a generator
 
-    return _patch(ring.RingReceiver, "send_explicit_credit", bad)
+    return _patch(parts.CreditReturn, "send_explicit_credit", bad)
 
 
 def _mut_ignore_credits():
     """Drop every credit update the sender hears about."""
-    from ..mpich2.channels import ring
+    from ..mpich2.channels import parts
 
     def bad(self, credit):
         return None
 
-    return _patch(ring.RingSender, "absorb_credit", bad)
+    return _patch(parts.CreditWindow, "absorb", bad)
 
 
 def _mut_early_deregister():
@@ -217,7 +216,7 @@ def _mut_ack_before_read():
     orig = chunked.ChunkedChannel._start_zcopy_read
 
     def bad(self, conn, cur, op_id):
-        if conn.sender.slots_free() > 0:
+        if conn.sender.is_open():
             yield from self._emit_control(conn, KIND_ACK, aux=op_id)
         result = yield from orig(self, conn, cur, op_id)
         return result
@@ -302,14 +301,14 @@ def _mut_srq_credit_leak():
     """Mark explicit SRQ credits as sent without the RDMA write.  On a
     one-way stream there is no reverse traffic to piggyback credits
     on, so the sender's window never refills past ``srq_credits``."""
-    from ..mpich2.channels import srq as srq_chan
+    from ..mpich2.channels import parts
 
-    def bad(self, conn):
-        conn.last_credit_sent = conn.consumed_msgs
+    def bad(self):
+        self.credit_sent = self.consumed
         return None
         yield  # pragma: no cover - makes this a generator
 
-    return _patch(srq_chan.SrqChannel, "_send_explicit_credit", bad)
+    return _patch(parts.CreditReturn, "send_explicit_credit", bad)
 
 
 def _mut_srq_pool_write_race():
@@ -338,13 +337,14 @@ def _mut_srq_replenish_off_by_one():
     consumption *exceeds the whole window*.  The gap can never exceed
     the window (the sender stalls first), so the explicit credit is
     never written and a one-way stream starves permanently."""
-    from ..mpich2.channels import srq as srq_chan
+    from ..mpich2.channels import parts
 
-    def bad(self, conn):
-        return (conn.consumed_msgs - conn.last_credit_sent
-                > self.ch_cfg.srq_credits)
+    window = _SRQ_CFG["srq_credits"]
 
-    return _patch(srq_chan.SrqChannel, "_credit_due", bad)
+    def bad(self):
+        return self.consumed - self.credit_sent > window
+
+    return _patch(parts.CreditReturn, "credit_due", bad)
 
 
 def _mut_lazy_drop_rep():

@@ -20,18 +20,14 @@ from ..config import ChannelConfig, HardwareConfig
 from ..faults import FaultPlan
 from ..hw.memory import Buffer
 from ..mpich2.ch3 import Ch3Device
-from ..mpich2.channels import registry as channel_registry
+from ..mpich2.connect import LazyConnector
+from ..mpich2.designs import DESIGNS, design as design_row
 from ..tune import TuneConfig
 from ..sim.engine import Simulator
 from .comm import Communicator
 from .status import ANY_SOURCE, ANY_TAG, Status
 
 __all__ = ["MpiContext", "World", "run_mpi", "build_world", "DESIGNS"]
-
-#: design name -> (channel name, device factory)
-DESIGNS = ("shm", "basic", "piggyback", "pipeline", "zerocopy",
-           "ch3", "multimethod", "tcp", "adaptive",
-           "srq", "mux", "srq-lazy")
 
 
 class MpiContext:
@@ -162,13 +158,13 @@ def build_world(nranks: int, design: str = "zerocopy",
     the engine's seeded schedule perturbation (see
     :class:`repro.sim.engine.Simulator` — None keeps the historical
     schedule bit-for-bit)."""
-    if design not in DESIGNS:
-        raise ValueError(f"unknown design {design!r}; pick from "
-                         f"{DESIGNS}")
+    row = design_row(design)
     cfg = HardwareConfig() if cfg is None else cfg
     ch_cfg = ChannelConfig() if ch_cfg is None else ch_cfg
+    if row.tuned and tune is None:
+        tune = TuneConfig()
 
-    if design == "shm":
+    if row.one_node:
         nnodes = 1  # all ranks share one node's memory
     nnodes = nranks if nnodes is None else nnodes
     if nnodes > nranks:
@@ -179,56 +175,31 @@ def build_world(nranks: int, design: str = "zerocopy",
             nnodes, cfg, faults=faults, obs=obs, tie_seed=tie_seed,
             ncpus_per_node=max(2, -(-nranks // nnodes)))
 
-        # design -> (channel registry name, device class); the two CH3
-        # rendezvous designs pair a specific device with their channel
-        if design == "ch3":
-            from ..mpich2.ch3_rdma.device import Ch3RdmaDevice
-            channel_name = "pipeline"
-            device_cls = Ch3RdmaDevice
-        elif design == "adaptive":
-            from ..mpich2.ch3_rdma.adaptive import Ch3AdaptiveDevice
-            channel_name = "adaptive"
-            device_cls = Ch3AdaptiveDevice
-            if tune is None:
-                tune = TuneConfig()
-        elif design == "srq-lazy":
-            # the srq channel with on-demand connection establishment:
-            # no init-time mesh, connections appear on first send
-            channel_name = "srq"
-            device_cls = Ch3Device
-        else:
-            channel_name = design
-            device_cls = Ch3Device
-
-        lazy = design == "srq-lazy"
-        channel_cls = channel_registry.lookup(channel_name)
         channels = []
         for r in range(nranks):
             node = cluster.nodes[r % nnodes]
             cpu_index = r // nnodes
             ctx = node.vapi(cpu_index % len(node.cpus))
-            chan = channel_registry.create(
-                channel_name, rank=r, node=node, ctx=ctx, cfg=cfg,
-                ch_cfg=ch_cfg, tune=tune)
+            chan = row.channel(rank=r, node=node, ctx=ctx, cfg=cfg,
+                               ch_cfg=ch_cfg, tune=tune)
             chan.initialize(nranks)
             channels.append(chan)
 
-        if not lazy:
+        if not row.lazy:
             # full mesh (paper: every connection set up during init)
             for i in range(nranks):
                 for j in range(i + 1, nranks):
-                    channel_cls.establish(channels[i], channels[j])
+                    row.channel.establish(channels[i], channels[j])
 
         devices = []
         for r in range(nranks):
-            dev = device_cls(r, nranks, channels[r])
+            dev = row.device(r, nranks, channels[r])
             dev.attach_connections()
             devices.append(dev)
 
-        if lazy:
-            from ..mpich2.connect import LazyConnector
+        if row.lazy:
             connector = LazyConnector(
-                cluster, channel_cls,
+                cluster, row.channel,
                 {r: channels[r] for r in range(nranks)})
             for dev in devices:
                 dev.connector = connector

@@ -1,52 +1,41 @@
 """RDMA Channel implementations — one per design in the paper.
 
-=========== ================================ =========================
-name         class                            paper section
-=========== ================================ =========================
-shm          :class:`ShmChannel`              Fig. 3 (reference)
-basic        :class:`BasicChannel`            §4.2
-piggyback    :class:`PiggybackChannel`        §4.3
-pipeline     :class:`PipelineChannel`         §4.4
-zerocopy     :class:`ZeroCopyChannel`         §5
-multimethod  :class:`MultiMethodChannel`      Fig. 1 multi-method
-tcp          :class:`TcpChannel`              Fig. 1 TCP baseline
-adaptive     :class:`AdaptiveChannel`         runtime-tuned (repro.tune)
-srq          :class:`SrqChannel`              shared receive pool (SRQ)
-mux          :class:`MuxChannel`              srq + bounded QP pool
-=========== ================================ =========================
+=========================== ================================
+class                       paper section
+=========================== ================================
+:class:`ShmChannel`         Fig. 3 (reference)
+:class:`BasicChannel`       §4.2
+:class:`PiggybackChannel`   §4.3
+:class:`PipelineChannel`    §4.4
+:class:`ZeroCopyChannel`    §5
+:class:`MultiMethodChannel` Fig. 1 multi-method
+:class:`TcpChannel`         Fig. 1 TCP baseline
+:class:`AdaptiveChannel`    runtime-tuned (repro.tune)
+:class:`SrqChannel`         shared receive pool (SRQ)
+:class:`MuxChannel`         srq + bounded QP pool
+=========================== ================================
 
-Designs are selected by name through the registry/factory API::
-
-    from repro.mpich2.channels import create, names
-
-    chan = create("zerocopy", rank=0, node=node, ctx=ctx)
-
-New designs enroll with the :func:`register` decorator and become
-visible to the runner, the property-test suite, and the benchmark
-harness without further wiring.
+The runnable design names (``"zerocopy"``, ``"ch3"``, ``"srq-lazy"``,
+...) are rows of :data:`repro.mpich2.designs.DESIGNS`, which pairs each
+name with a channel class and the CH3 device above it.  The mechanisms
+the RDMA designs share live once in :mod:`.parts`.
 """
 
 from .base import (ChannelBrokenError, ChannelError, Connection,
                    IovCursor, RdmaChannel, advance_iov, iov_total)
-from .registry import CHANNELS, create, lookup, names, register
-
-# importing the modules triggers their @register decorators
 from .basic import BasicChannel
-from .chunked import ChunkedChannel, ChunkedConnection
+from .chunked import (ChunkedChannel, ChunkedConnection, PiggybackChannel,
+                      PipelineChannel, ZeroCopyChannel)
 from .multimethod import MultiMethodChannel
-from .piggyback import PiggybackChannel
-from .pipeline import PipelineChannel
 from .shm import ShmChannel
 from .srq import MuxChannel, SrqChannel, SrqConnection
 from .tcp import TcpChannel
-from .zerocopy import ZeroCopyChannel
 from .adaptive import AdaptiveChannel
 
 __all__ = [
     "RdmaChannel", "Connection", "ChannelError", "ChannelBrokenError",
     "IovCursor",
     "advance_iov", "iov_total",
-    "CHANNELS", "register", "create", "lookup", "names",
     "ShmChannel", "BasicChannel", "PiggybackChannel", "PipelineChannel",
     "ZeroCopyChannel", "MultiMethodChannel", "TcpChannel",
     "AdaptiveChannel",

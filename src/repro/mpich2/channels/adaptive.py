@@ -25,12 +25,10 @@ from __future__ import annotations
 
 from ...tune import AdaptiveController
 from .chunked import ChunkedChannel, ChunkedConnection
-from .registry import register
 
 __all__ = ["AdaptiveChannel"]
 
 
-@register("adaptive")
 class AdaptiveChannel(ChunkedChannel):
     PIPELINED = True
     ZEROCOPY = True

@@ -185,14 +185,10 @@ class Connection:
 class RdmaChannel(abc.ABC):
     """Abstract base of the five-function interface.
 
-    One instance exists per MPI process.  Concrete designs:
-    ``ShmChannel`` (Fig. 3 reference), ``BasicChannel`` (§4.2),
-    ``PiggybackChannel`` (§4.3), ``PipelineChannel`` (§4.4),
-    ``ZeroCopyChannel`` (§5).
+    One instance exists per MPI process; the concrete designs are
+    listed in :mod:`repro.mpich2.channels`.
     """
 
-    #: registry name, set by subclasses ("basic", "piggyback", ...)
-    name: str = ""
     #: True when wait hints differ per connection (shared-memory
     #: gates); IB designs share one per-node gate.
     hint_per_connection: bool = False

@@ -1,7 +1,7 @@
-"""Shared implementation of the chunked ring-buffer channels
-(piggyback §4.3, pipeline §4.4, zero-copy §5).
+"""The chunked ring-buffer channels: piggyback (§4.3), pipeline
+(§4.4) and zero-copy (§5), one shared implementation.
 
-The three designs differ only in two hooks:
+The three designs differ only in two flags:
 
 * ``PIPELINED``: whether put() copies all chunks and then posts the
   RDMA writes, waiting for their completion (the §4.2/§4.3
@@ -35,12 +35,14 @@ from ...hw.memory import Buffer
 from ...ib.types import Opcode, RegistrationError, WcStatus
 from ..regcache import RegistrationCache
 from .base import (ChannelBrokenError, ChannelError, Connection, IovCursor,
-                   RdmaChannel, iov_total)
+                   RdmaChannel)
+from .parts import Replica, copy_iov, pinned, rc_pair, write_done
 from .ring import (HDR_SIZE, KIND_ACK, KIND_CREDIT, KIND_DATA, KIND_NAK,
                    KIND_RTS, RTS_PAYLOAD, RingReceiver, RingSender,
                    pack_rts, unpack_rts)
 
-__all__ = ["ChunkedChannel", "ChunkedConnection"]
+__all__ = ["ChunkedChannel", "ChunkedConnection", "PiggybackChannel",
+           "PipelineChannel", "ZeroCopyChannel"]
 
 _zc_ids = itertools.count(1)
 
@@ -99,7 +101,7 @@ class ChunkedConnection(Connection):
 
 class ChunkedChannel(RdmaChannel):
     """Base class; see module docstring.  Subclasses set PIPELINED /
-    ZEROCOPY and a ``name``."""
+    ZEROCOPY."""
 
     PIPELINED = False
     ZEROCOPY = False
@@ -135,80 +137,43 @@ class ChunkedChannel(RdmaChannel):
         edges = []
         for peer, conn in self.conns.items():
             sender = conn.sender
-            if sender is not None and sender.slots_free() <= 0:
+            if sender is not None and not sender.is_open():
                 edges.append((
                     self.rank, peer,
                     f"ring full: {self.nslots} chunk slot(s) "
                     "outstanding, no tail update from the receiver"))
         return edges
 
-    def _note_piggyback(self, conn: "ChunkedConnection") -> None:
-        """A chunk we are posting carries the current tail pointer in
-        its credit field; count it when it communicates fresh
-        consumption (the §4.3 piggybacked update)."""
-        if conn.receiver.consumed > conn.receiver.credit_sent:
-            self._m_piggy_tail.inc()
-        # the chunk being posted carries this value on the wire
-        conn.receiver.credit_sent = conn.receiver.consumed  # lint: allow(credit-publish, value rides in the outgoing chunk header)
-
     # ------------------------------------------------------------------
     # establish: rings, staging, QPs, out-of-band exchange
     # ------------------------------------------------------------------
     @classmethod
     def establish(cls, a: "ChunkedChannel", b: "ChunkedChannel") -> None:
-        if a.rank == b.rank:
-            raise ChannelError("cannot connect a rank to itself")
-        cq_a = a.node.hca.create_cq()
-        cq_b = b.node.hca.create_cq()
-        qp_a = a.node.hca.create_qp(cq_a)
-        qp_b = b.node.hca.create_qp(cq_b)
-        qp_a.connect(qp_b)
-
-        conn_a = ChunkedConnection(a, b.rank)
-        conn_b = ChunkedConnection(b, a.rank)
-        conn_a.qp, conn_b.qp = qp_a, qp_b
-
+        conn_a, conn_b = rc_pair(ChunkedConnection, a, b)
         # one ring per direction, placed at the receiver (§4.2: "We put
         # the shared-memory buffer in the receiver's main memory"),
         # plus a tail-pointer replica at the sender for explicit
         # credit returns (§4.3's "extra message" path)
-        for src, dst, conn_s, conn_d, qp_s, qp_d in (
-            (a, b, conn_a, conn_b, qp_a, qp_b),
-            (b, a, conn_b, conn_a, qp_b, qp_a),
-        ):
+        for src, dst, conn_s, conn_d in ((a, b, conn_a, conn_b),
+                                         (b, a, conn_b, conn_a)):
             ring_size = src.ch_cfg.ring_size
             chunk = src.ch_cfg.chunk_size
             nslots = src.nslots
-            ring = dst.node.alloc(ring_size,
-                                  f"ring[{src.rank}->{dst.rank}]")
-            ring_mr = dst.node.hca.pd.register(ring.addr, ring_size)
-            staging = src.node.alloc(ring_size,
-                                     f"staging[{src.rank}->{dst.rank}]")
-            staging_mr = src.node.hca.pd.register(staging.addr, ring_size)
+            ring, ring_mr = pinned(dst.node, ring_size,
+                                   f"ring[{src.rank}->{dst.rank}]")
+            staging, staging_mr = pinned(
+                src.node, ring_size, f"staging[{src.rank}->{dst.rank}]")
             # tail replica at the sender, written by the receiver
-            credit_slot = src.node.alloc(8, "tail_replica")
-            credit_slot.write(b"\x00" * 8)
-            credit_slot_mr = src.node.hca.pd.register(credit_slot.addr, 8)
-            credit_staging = dst.node.alloc(8, "tail_staging")
-            credit_staging_mr = dst.node.hca.pd.register(
-                credit_staging.addr, 8)
+            tail = Replica(pinned(src.node, 8, "tail_replica"),
+                           pinned(dst.node, 8, "tail_staging"))
             threshold = max(1, int(nslots * src.ch_cfg.tail_update_fraction))
-            conn_s.sender = RingSender(src.ctx, qp_s, staging, staging_mr,
-                                       ring.addr, ring_mr.rkey,
-                                       nslots, chunk,
-                                       credit_slot=credit_slot,
+            conn_s.sender = RingSender(src.ctx, conn_s.qp, staging,
+                                       staging_mr, ring.addr, ring_mr.rkey,
+                                       nslots, chunk, tail,
                                        metrics=src.metrics)
             conn_d.receiver = RingReceiver(
-                ring, ring_mr, nslots, chunk, threshold,
-                ctx=dst.ctx, qp=qp_d,
-                credit_staging=credit_staging,
-                credit_staging_mr=credit_staging_mr,
-                remote_credit_addr=credit_slot.addr,
-                remote_credit_rkey=credit_slot_mr.rkey,
-                metrics=dst.metrics)
-
-        a.conns[b.rank] = conn_a
-        b.conns[a.rank] = conn_b
+                ring, nslots, chunk, threshold, dst.ctx, conn_d.qp, tail,
+                dst._m_piggy_tail, metrics=dst.metrics)
 
     # ------------------------------------------------------------------
     # put
@@ -225,7 +190,7 @@ class ChunkedChannel(RdmaChannel):
             kind, _plen, credit, aux = info
             if kind not in (KIND_CREDIT, KIND_ACK, KIND_NAK):
                 return None
-            conn.sender.absorb_credit(credit)
+            conn.sender.absorb(credit)
             yield from self.ctx.cpu.work(self.cfg.chunk_overhead_cpu)
             if kind == KIND_ACK:
                 if conn.zc_send is None or conn.zc_send.op_id != aux:
@@ -284,7 +249,7 @@ class ChunkedChannel(RdmaChannel):
                     # ACK), or no free slot to send the RTS yet
                     break
                 continue  # registration failed: stream via the ring
-            if conn.sender.slots_free() <= 0:
+            if not conn.sender.is_open():
                 # back-pressured: out of ring credits mid-message
                 self._m_credit_stalls.inc()
                 self.tuner.on_credit_stall(conn.peer_rank)
@@ -317,19 +282,13 @@ class ChunkedChannel(RdmaChannel):
                 return None
             take = min(take, limit)
         index, payload = sender.build_chunk(
-            KIND_DATA, take, credit=conn.receiver.consumed)
-        self._note_piggyback(conn)
+            KIND_DATA, take, credit=conn.receiver.piggyback())
         yield from self.ctx.cpu.work(self.cfg.chunk_overhead_cpu)
         t0 = self.ctx.sim.now
-        off = 0
-        while off < take:
-            piece = cur.current(take - off)
-            yield from self.node.membus.memcpy(
-                self.node.mem, payload.addr + off, piece.addr, len(piece),
-                # lint: allow(falsy-or-default, hint 0 means unhinted)
-                working_set=conn.put_ws_hint or None)
-            cur.advance(len(piece))
-            off += len(piece)
+        yield from copy_iov(
+            self.node, cur, payload.addr, take, into_iov=False,
+            # lint: allow(falsy-or-default, hint 0 means unhinted)
+            working_set=conn.put_ws_hint or None)
         self.timeline.span(f"rank{self.rank}", "copy_to_staging",
                            t0, self.ctx.sim.now, cat="memcpy",
                            args={"bytes": take})
@@ -379,13 +338,7 @@ class ChunkedChannel(RdmaChannel):
         for k, (index, take) in enumerate(pending_posts):
             wr = yield from conn.sender.post(index, take,
                                              signaled=(k == last_i))
-        cqe = yield from self.ctx.wait_cq(conn.qp.send_cq)
-        if cqe.status is not WcStatus.SUCCESS:
-            # retry exhaustion / flush error: the connection is dead
-            raise ChannelBrokenError(f"ring write failed: {cqe.status}")
-        if cqe.wr_id != wr.wr_id:
-            raise ChannelError(
-                f"expected completion of wr {wr.wr_id}, got {cqe.wr_id}")
+        yield from write_done(self.ctx, conn.qp, wr, "ring")
         return None
 
     def _start_zcopy_send(self, conn: ChunkedConnection, cur: IovCursor
@@ -393,7 +346,7 @@ class ChunkedChannel(RdmaChannel):
         """Register the element and advertise it with an RTS chunk
         (paper Fig. 10, left side)."""
         sender = conn.sender
-        if sender.slots_free() <= 0:
+        if not sender.is_open():
             return False
         elem = cur.current()  # whole element (cursor at element start)
         try:
@@ -407,9 +360,8 @@ class ChunkedChannel(RdmaChannel):
             return False
         op_id = next(_zc_ids)
         index, payload = sender.build_chunk(
-            KIND_RTS, RTS_PAYLOAD, credit=conn.receiver.consumed,
+            KIND_RTS, RTS_PAYLOAD, credit=conn.receiver.piggyback(),
             aux=op_id)
-        self._note_piggyback(conn)
         yield from self.ctx.cpu.work(self.cfg.chunk_overhead_cpu)
         payload.write(pack_rts(elem.addr, len(elem), mr.rkey))
         yield from sender.post(index, RTS_PAYLOAD, signaled=False)
@@ -455,7 +407,7 @@ class ChunkedChannel(RdmaChannel):
                     "zero-copy read")
             # paper: "calling the get function leads to an
             # acknowledgment packet being sent to the sender"
-            if conn.sender.slots_free() <= 0:
+            if not conn.sender.is_open():
                 return 0  # cannot ACK yet; retry
             yield from self._emit_control(conn, KIND_ACK, aux=zc.op_id)
             for mr in zc.mrs:
@@ -468,7 +420,7 @@ class ChunkedChannel(RdmaChannel):
             if info is None:
                 break
             kind, plen, credit, aux = info
-            conn.sender.absorb_credit(credit)
+            conn.sender.absorb(credit)
             yield from self.ctx.cpu.work(self.cfg.chunk_overhead_cpu)
             if kind == KIND_CREDIT:
                 conn.receiver.consume_chunk()
@@ -499,19 +451,13 @@ class ChunkedChannel(RdmaChannel):
     def _drain_data_chunk(self, conn: ChunkedConnection, cur: IovCursor,
                           plen: int) -> Generator[None, None, int]:
         recv = conn.receiver
-        avail = plen - recv.payload_off
-        src = recv.payload_buffer(plen)
-        moved = 0
+        moved = min(plen - recv.payload_off, cur.remaining())
         t0 = self.ctx.sim.now
-        while avail > 0 and not cur.exhausted:
-            piece = cur.current(avail)
-            yield from self.node.membus.memcpy(
-                self.node.mem, piece.addr, src.addr + moved, len(piece),
-                # lint: allow(falsy-or-default, hint 0 means unhinted)
-                working_set=conn.get_ws_hint or None)
-            cur.advance(len(piece))
-            moved += len(piece)
-            avail -= len(piece)
+        yield from copy_iov(
+            self.node, cur, recv.payload_buffer(plen).addr, moved,
+            into_iov=True,
+            # lint: allow(falsy-or-default, hint 0 means unhinted)
+            working_set=conn.get_ws_hint or None)
         if moved:
             self.timeline.span(f"rank{self.rank}", "copy_from_ring",
                                t0, self.ctx.sim.now, cat="memcpy",
@@ -553,7 +499,7 @@ class ChunkedChannel(RdmaChannel):
             for mr in mrs:
                 yield from self.regcache.release(mr)
             cur.reset(mark)
-            if conn.sender.slots_free() <= 0:
+            if not conn.sender.is_open():
                 return None  # cannot NAK yet; leave the RTS, retry
             yield from self._emit_control(conn, KIND_NAK, aux=op_id)
             recv.consume_chunk()
@@ -595,8 +541,7 @@ class ChunkedChannel(RdmaChannel):
     def _emit_control(self, conn: ChunkedConnection, kind: int,
                       aux: int = 0) -> Generator:
         index, _payload = conn.sender.build_chunk(
-            kind, 0, credit=conn.receiver.consumed, aux=aux)
-        self._note_piggyback(conn)
+            kind, 0, credit=conn.receiver.piggyback(), aux=aux)
         yield from self.ctx.cpu.work(self.cfg.chunk_overhead_cpu)
         yield from conn.sender.post(index, 0, signaled=False)
         if kind == KIND_ACK:
@@ -619,3 +564,45 @@ class ChunkedChannel(RdmaChannel):
             yield from self.regcache.flush()
         self.finalized = True
         return None
+
+
+class PiggybackChannel(ChunkedChannel):
+    """Piggyback design (§4.3).
+
+    One RDMA write per message: the head-pointer update travels inside
+    the data chunk (flags + length + piggybacked credit), and
+    tail-pointer updates are delayed/piggybacked on reverse traffic.
+    Copies and RDMA writes are still serialized within a put (§4.4
+    identifies that as the remaining bottleneck)."""
+
+
+class PipelineChannel(ChunkedChannel):
+    """Pipelining design (§4.4).
+
+    Large messages are chunked; each chunk's RDMA write is posted
+    immediately after its copy so the copy of chunk *n+1* overlaps the
+    transfer of chunk *n*.  The memory bus (shared by the CPU copy and
+    the HCA's DMA) becomes the bottleneck, capping bandwidth near
+    ``membus_bandwidth / 3`` — the paper's ">500 MB/s but well short of
+    870 MB/s" result."""
+
+    PIPELINED = True
+
+
+class ZeroCopyChannel(ChunkedChannel):
+    """Zero-copy design (§5) — the paper's headline RDMA Channel
+    design.
+
+    Small messages use the pipelined ring (one RDMA write, piggybacked
+    pointers).  Elements of at least ``zerocopy_threshold`` bytes are
+    advertised with a special RTS packet through the ring; the receiver
+    registers the destination user buffer (via the registration cache)
+    and *pulls* the data with RDMA read, then acknowledges so the
+    sender can release its registration.  No intermediate copies touch
+    large payloads, so peak bandwidth approaches the raw RDMA read
+    limit (857 MB/s on the paper's testbed) at the cost of a slightly
+    higher small-message latency (7.6 µs vs 7.4 µs) from the threshold
+    check and state machinery."""
+
+    PIPELINED = True
+    ZEROCOPY = True

@@ -14,14 +14,12 @@ from typing import Generator, Sequence
 
 from ...hw.memory import Buffer
 from .base import Connection, RdmaChannel
-from .registry import register
+from .chunked import ZeroCopyChannel
 from .shm import ShmChannel
-from .zerocopy import ZeroCopyChannel
 
 __all__ = ["MultiMethodChannel"]
 
 
-@register("multimethod")
 class MultiMethodChannel(RdmaChannel):
     hint_per_connection = True
 

@@ -36,8 +36,9 @@ from typing import Generator, Optional, Tuple
 
 from ...hw.memory import Buffer
 from ...ib.mr import MemoryRegion
-from ...ib.types import WcStatus, WorkRequest
+from ...ib.types import WorkRequest
 from ...obs import NULL_METRICS
+from .parts import CreditReturn, CreditWindow, Replica
 
 __all__ = ["HDR_SIZE", "TRAILER_SIZE", "SEQ_MOD", "KIND_DATA", "KIND_RTS",
            "KIND_ACK", "KIND_CREDIT", "KIND_NAK", "RingSender",
@@ -72,21 +73,17 @@ def unpack_rts(payload: bytes) -> Tuple[int, int, int]:
     return struct.unpack(_RTS_FMT, payload)
 
 
-class RingSender:
+class RingSender(CreditWindow):
     """Sender-side view of one direction: the preregistered staging
-    ring plus the remote ring's address/rkey and flow-control state.
-
-    ``credit_slot`` is the local tail-pointer *replica* (§4.2/§4.3):
-    an 8-byte counter the receiver updates with a dedicated RDMA write
-    when it must return credits explicitly.  Because that write needs
-    no ring slot, flow control can never deadlock with both rings
-    full.
+    ring plus the remote ring's address/rkey.  Its credit window is
+    the slot count: ``sent`` is the next chunk index, ``acked`` the
+    peer-consumed chunk count, ``replica`` the tail-pointer replica
+    (§4.2/§4.3) the receiver writes when it returns credit explicitly.
     """
 
     def __init__(self, ctx, qp, staging: Buffer, staging_mr: MemoryRegion,
                  remote_base: int, remote_rkey: int, nslots: int,
-                 chunk_size: int, credit_slot: Buffer = None,
-                 metrics=None):
+                 chunk_size: int, tail: Replica, metrics=None):
         assert nslots % SEQ_MOD != 0, "slot count aliases the seq space"
         self.ctx = ctx
         self.qp = qp
@@ -96,34 +93,12 @@ class RingSender:
         self.remote_rkey = remote_rkey
         self.nslots = nslots
         self.chunk_size = chunk_size
-        #: next chunk index to send (monotonic)
-        self.next_chunk = 0
-        #: peer-consumed chunk count (from piggybacked/explicit credits)
-        self.credit = 0
-        #: local tail replica written by the peer's explicit updates
-        self.credit_slot = credit_slot
         self.max_payload = chunk_size - HDR_SIZE - TRAILER_SIZE
-        self.chunks_sent = 0
         m = metrics if metrics is not None else NULL_METRICS
         self._m_chunks_sent = m.counter("chunks_sent")
         self._m_bytes_posted = m.counter("bytes_posted")
         self._m_ring_wraps = m.counter("ring_wraps")
-        self._m_in_flight = m.gauge("chunks_in_flight")
-
-    def slots_free(self) -> int:
-        self.poll_credit_slot()
-        return self.nslots - (self.next_chunk - self.credit)
-
-    def poll_credit_slot(self) -> None:
-        if self.credit_slot is not None:
-            self.absorb_credit(
-                struct.unpack("<Q", self.credit_slot.read())[0])
-
-    def absorb_credit(self, credit: int) -> None:
-        """Credits are monotonic counters; stale values are ignored."""
-        if credit > self.credit:
-            self.credit = credit
-            self._m_in_flight.set(self.next_chunk - self.credit)
+        super().__init__(nslots, tail, m.gauge("chunks_in_flight"))
 
     def build_chunk(self, kind: int, payload_len: int, credit: int,
                     aux: int = 0) -> Tuple[int, Buffer]:
@@ -135,13 +110,13 @@ class RingSender:
         copy *all* chunks first and only then issue the RDMA writes
         (the §4.2/§4.3 copy-then-write serialization that §4.4's
         pipelining removes)."""
-        if self.slots_free() <= 0:
+        if not self.is_open():
             raise RuntimeError("build_chunk without a free slot")
         if payload_len > self.max_payload:
             raise ValueError(f"payload {payload_len} exceeds chunk "
                              f"capacity {self.max_payload}")
-        index = self.next_chunk
-        self.next_chunk += 1
+        index = self.sent
+        self.sent += 1
         slot = index % self.nslots
         base = slot * self.chunk_size
         seq = seq_of(index)
@@ -167,52 +142,37 @@ class RingSender:
             [(self.staging.addr + base, nbytes, self.staging_mr.lkey)],
             self.remote_base + base, self.remote_rkey,
             signaled=signaled)
-        self.chunks_sent += 1
         self._m_chunks_sent.inc()
         self._m_bytes_posted.inc(nbytes)
         if chunk_index and slot == 0:
             self._m_ring_wraps.inc()
-        self._m_in_flight.set(self.next_chunk - self.credit)
+        self._in_flight.set(self.sent - self.acked)
         return wr
 
 
-class RingReceiver:
-    """Receiver-side view of one direction: the local ring plus the
-    read cursor and consumption/credit bookkeeping."""
+class RingReceiver(CreditReturn):
+    """Receiver-side view of one direction: the local ring, the read
+    cursor, and the consumption/credit bookkeeping (``consumed`` is the
+    tail pointer, in chunks)."""
 
-    def __init__(self, ring: Buffer, ring_mr: MemoryRegion, nslots: int,
-                 chunk_size: int, credit_threshold: int,
-                 ctx=None, qp=None, credit_staging: Buffer = None,
-                 credit_staging_mr: MemoryRegion = None,
-                 remote_credit_addr: int = 0,
-                 remote_credit_rkey: int = 0,
-                 metrics=None):
+    def __init__(self, ring: Buffer, nslots: int, chunk_size: int,
+                 credit_threshold: int, ctx, qp, tail: Replica,
+                 piggybacked, metrics=None):
         assert nslots % SEQ_MOD != 0
         self.ring = ring
-        self.ring_mr = ring_mr
         self.nslots = nslots
         self.chunk_size = chunk_size
-        # explicit tail-update plumbing (§4.3's "extra message"): an
-        # RDMA write of the consumed counter into the sender's replica
-        self.ctx = ctx
-        self.qp = qp
-        self.credit_staging = credit_staging
-        self.credit_staging_mr = credit_staging_mr
-        self.remote_credit_addr = remote_credit_addr
-        self.remote_credit_rkey = remote_credit_rkey
         #: next chunk index expected (monotonic)
         self.next_chunk = 0
         #: bytes of the current chunk's payload already delivered
         self.payload_off = 0
-        #: chunks fully consumed (the tail pointer, in chunks)
-        self.consumed = 0
-        #: value of ``consumed`` last communicated to the sender
-        self.credit_sent = 0
-        self.credit_threshold = max(1, credit_threshold)
         self.chunks_received = 0
         m = metrics if metrics is not None else NULL_METRICS
         self._m_chunks_received = m.counter("chunks_received")
-        self._m_explicit_tail = m.counter("explicit_tail_updates")
+        # explicit tail updates (§4.3's "extra message") go into the
+        # sender's tail replica
+        super().__init__(ctx, qp, tail, credit_threshold,
+                         m.counter("explicit_tail_updates"), piggybacked)
 
     def peek(self) -> Optional[Tuple[int, int, int, int]]:
         """If the next chunk has fully arrived, return
@@ -230,12 +190,11 @@ class RingReceiver:
         kind = int(view[base + 1])
         credit = struct.unpack("<Q", bytes(view[base + 4:base + 12]))[0]
         aux = struct.unpack("<I", bytes(view[base + 12:base + 16]))[0]
-        if self.ctx is not None:
-            shadow = getattr(self.ctx.hca, "shadow", None)
-            if shadow is not None:
-                shadow.on_ring_consume(
-                    self.ctx.hca, self.ring.addr + base,
-                    HDR_SIZE + payload_len + TRAILER_SIZE)
+        shadow = getattr(self.ctx.hca, "shadow", None)
+        if shadow is not None:
+            shadow.on_ring_consume(
+                self.ctx.hca, self.ring.addr + base,
+                HDR_SIZE + payload_len + TRAILER_SIZE)
         return kind, payload_len, credit, aux
 
     def payload_buffer(self, payload_len: int) -> Buffer:
@@ -252,22 +211,3 @@ class RingReceiver:
         self.consumed += 1
         self.chunks_received += 1
         self._m_chunks_received.inc()
-
-    def credit_due(self) -> bool:
-        """§4.3 delayed tail update: explicit credit once the unsent
-        consumption exceeds the threshold."""
-        return self.consumed - self.credit_sent >= self.credit_threshold
-
-    def send_explicit_credit(self) -> Generator:
-        """The §4.3 "extra message": RDMA-write the consumed counter
-        into the sender's tail replica.  Needs no ring slot, so flow
-        control cannot deadlock."""
-        self.credit_staging.write(struct.pack("<Q", self.consumed))
-        yield from self.ctx.rdma_write(
-            self.qp,
-            [(self.credit_staging.addr, 8, self.credit_staging_mr.lkey)],
-            self.remote_credit_addr, self.remote_credit_rkey,
-            signaled=False)
-        self.credit_sent = self.consumed
-        self._m_explicit_tail.inc()
-        return None

@@ -17,7 +17,7 @@ from ...hw.memory import Buffer
 from ...sim.sync import Gate
 from .base import (ChannelBrokenError, ChannelError, Connection,
                    IovCursor, RdmaChannel, iov_total)
-from .registry import register
+from .parts import copy_iov, wrapped
 
 __all__ = ["ShmChannel", "ShmConnection"]
 
@@ -59,7 +59,6 @@ class ShmConnection(Connection):
         self.gate: Gate = gate
 
 
-@register("shm")
 class ShmChannel(RdmaChannel):
     hint_per_connection = True
 
@@ -91,17 +90,9 @@ class ShmChannel(RdmaChannel):
             return 0
         cur = IovCursor(iov)
         head = ring.head()
-        start = head % ring.size
-        copied = 0
-        while copied < n:
-            pos = (start + copied) % ring.size
-            run = min(n - copied, ring.size - pos)
-            piece = cur.current(run)
-            run = min(run, len(piece))
-            yield from self.node.membus.memcpy(
-                self.node.mem, ring.ring.addr + pos, piece.addr, run)
-            cur.advance(run)
-            copied += run
+        for pos, run in wrapped(head % ring.size, n, ring.size):
+            yield from copy_iov(self.node, cur, ring.ring.addr + pos, run,
+                                into_iov=False)
         ring.set_head(head + n)
         conn.gate.open()
         return n
@@ -119,17 +110,9 @@ class ShmChannel(RdmaChannel):
             return 0
         cur = IovCursor(iov)
         tail = ring.tail()
-        start = tail % ring.size
-        copied = 0
-        while copied < n:
-            pos = (start + copied) % ring.size
-            run = min(n - copied, ring.size - pos)
-            piece = cur.current(run)
-            run = min(run, len(piece))
-            yield from self.node.membus.memcpy(
-                self.node.mem, piece.addr, ring.ring.addr + pos, run)
-            cur.advance(run)
-            copied += run
+        for pos, run in wrapped(tail % ring.size, n, ring.size):
+            yield from copy_iov(self.node, cur, ring.ring.addr + pos, run,
+                                into_iov=True)
         ring.set_tail(tail + n)
         conn.gate.open()
         return n

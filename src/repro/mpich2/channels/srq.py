@@ -42,14 +42,13 @@ from ...ib.types import RecvRequest, Sge, WcStatus
 from ...sim.sync import Fifo
 from .base import (ChannelBrokenError, ChannelError, Connection, IovCursor,
                    RdmaChannel, iov_total)
-from .registry import register
+from .parts import CreditReturn, CreditWindow, Replica, copy_iov, pinned
 
 __all__ = ["SrqChannel", "MuxChannel", "SrqConnection"]
 
 #: wire header: src rank, dst rank, piggybacked cumulative credit
 _HDR_FMT = "<iiQ"
 _HDR_SIZE = struct.calcsize(_HDR_FMT)
-_CREDIT_FMT = "<Q"
 
 
 class _RecvPool:
@@ -68,9 +67,8 @@ class _RecvPool:
         self.recv_cq = node.hca.create_cq(depth=max(4096, slots + 1),
                                           name=f"{name}.rcq")
         self.srq = node.hca.create_srq(max_wr=slots, name=name)
-        buf = node.alloc(slots * slot_size, f"{name}.pool")
+        buf, self.mr = pinned(node, slots * slot_size, f"{name}.pool")
         self.base = buf.addr
-        self.mr = node.hca.pd.register(buf.addr, slots * slot_size)
         for i in range(slots):
             self.srq.post(self.make_rr(i))
         #: (src rank, dst rank) -> Fifo of [slot, offset, remaining]
@@ -112,8 +110,8 @@ class _RecvPool:
                     f"SRQ pool on node {self.node.node_id} received a "
                     f"message for unregistered rank {dst}")
             conn = chan.conns.get(src)
-            if conn is not None and credit > conn.peer_consumed:
-                conn.peer_consumed = credit
+            if conn is not None:
+                conn.window.absorb(credit)
             self.flow(src, dst).append(
                 [slot, _HDR_SIZE, cqe.byte_len - _HDR_SIZE])
 
@@ -133,37 +131,20 @@ class _SendEndpoint:
 
 
 class SrqConnection(Connection):
-    """Per-peer flow state: send slots, credit counters, replicas."""
+    """Per-peer flow state: send slots and the two halves of the
+    credit window — ``window`` over my messages to the peer,
+    ``credits`` over the peer's messages I consumed."""
 
     def __init__(self, channel: "SrqChannel", peer_rank: int):
         super().__init__(channel, peer_rank)
         self.ep: Optional[_SendEndpoint] = None
-        # send side
         self.send_slots: Optional[Buffer] = None
         self.send_slots_mr = None
         self.slot_busy: List[bool] = []
-        self.sent_msgs = 0
-        #: cumulative count of my messages the peer has consumed
-        #: (max of the credit replica and piggybacked values)
-        self.peer_consumed = 0
-        #: peer writes its cumulative consumed count here
-        self.credit_replica: Optional[Buffer] = None
-        self.credit_replica_mr = None
-        # receive side
-        self.consumed_msgs = 0
-        self.last_credit_sent = 0
-        #: staging for my explicit credit writes to the peer
-        self.credit_out: Optional[Buffer] = None
-        self.credit_out_mr = None
-        self.remote_credit_addr = 0
-        self.remote_credit_rkey = 0
-
-    def replica_credit(self) -> int:
-        (value,) = struct.unpack(_CREDIT_FMT, self.credit_replica.read())
-        return value
+        self.window: Optional[CreditWindow] = None
+        self.credits: Optional[CreditReturn] = None
 
 
-@register("srq")
 class SrqChannel(RdmaChannel):
     """Shared-receive-pool eager channel (one pool + SRQ per rank)."""
 
@@ -213,26 +194,29 @@ class SrqChannel(RdmaChannel):
         conn_b = SrqConnection(b, a.rank)
         conn_a.qp, conn_a.ep = qp_a, ep_a
         conn_b.qp, conn_b.ep = qp_b, ep_b
+        ends = []
         for src, dst, conn in ((a, b, conn_a), (b, a, conn_b)):
             k = src.ch_cfg.srq_credits
-            ssz = src.ch_cfg.srq_slot_size
-            slots = src.node.alloc(
-                k * ssz, f"srq.send[{src.rank}->{dst.rank}]")
-            conn.send_slots = slots
-            conn.send_slots_mr = src.node.hca.pd.register(slots.addr,
-                                                          k * ssz)
+            conn.send_slots, conn.send_slots_mr = pinned(
+                src.node, k * src.ch_cfg.srq_slot_size,
+                f"srq.send[{src.rank}->{dst.rank}]")
             conn.slot_busy = [False] * k
-            rep = src.node.alloc(8, f"srq.crep[{src.rank}<-{dst.rank}]")
-            rep.write(struct.pack(_CREDIT_FMT, 0))
-            conn.credit_replica = rep
-            conn.credit_replica_mr = src.node.hca.pd.register(rep.addr, 8)
-            out = src.node.alloc(8, f"srq.cout[{src.rank}->{dst.rank}]")
-            conn.credit_out = out
-            conn.credit_out_mr = src.node.hca.pd.register(out.addr, 8)
-        conn_a.remote_credit_addr = conn_b.credit_replica.addr
-        conn_a.remote_credit_rkey = conn_b.credit_replica_mr.rkey
-        conn_b.remote_credit_addr = conn_a.credit_replica.addr
-        conn_b.remote_credit_rkey = conn_a.credit_replica_mr.rkey
+            # the credit replica the peer writes, and the staging word
+            # for my own explicit credit writes to the peer
+            ends += [pinned(src.node, 8, f"srq.crep[{src.rank}<-{dst.rank}]"),
+                     pinned(src.node, 8, f"srq.cout[{src.rank}->{dst.rank}]")]
+        rep_a, out_a, rep_b, out_b = ends
+        to_a, to_b = Replica(rep_a, out_b), Replica(rep_b, out_a)
+        for conn, mine, theirs in ((conn_a, to_a, to_b),
+                                   (conn_b, to_b, to_a)):
+            chan, k = conn.channel, conn.channel.ch_cfg.srq_credits
+            conn.window = CreditWindow(k, mine)
+            # replenish at half the window (the paper's threshold
+            # heuristic: amortize the credit write without letting the
+            # sender run dry)
+            conn.credits = CreditReturn(chan.ctx, conn.qp, theirs,
+                                        max(1, k // 2),
+                                        chan._m_explicit_credits)
         # pre-create the flow queues so demux never allocates mid-drain
         a._pool.flow(b.rank, a.rank)
         b._pool.flow(a.rank, b.rank)
@@ -257,10 +241,7 @@ class SrqChannel(RdmaChannel):
             ) -> Generator[object, object, int]:
         self._drain_sends(conn.ep)
         self._pool.drain()  # absorb piggybacked credits promptly
-        replica = conn.replica_credit()
-        if replica > conn.peer_consumed:
-            conn.peer_consumed = replica
-        if conn.sent_msgs - conn.peer_consumed >= self.ch_cfg.srq_credits:
+        if not conn.window.is_open():
             self._m_credit_stalls.inc()
             return 0
         slot = next((i for i, busy in enumerate(conn.slot_busy)
@@ -273,22 +254,16 @@ class SrqChannel(RdmaChannel):
             return 0
         base = conn.send_slots.addr + slot * self.ch_cfg.srq_slot_size
         self.node.mem.write(base, struct.pack(
-            _HDR_FMT, self.rank, conn.peer_rank, conn.consumed_msgs))
-        conn.last_credit_sent = conn.consumed_msgs
-        cur = IovCursor(iov)
-        while cur.consumed < n:
-            piece = cur.current(n - cur.consumed)
-            yield from self.node.membus.memcpy(
-                self.node.mem, base + _HDR_SIZE + cur.consumed,
-                piece.addr, len(piece))
-            cur.advance(len(piece))
+            _HDR_FMT, self.rank, conn.peer_rank, conn.credits.piggyback()))
+        yield from copy_iov(self.node, IovCursor(iov), base + _HDR_SIZE, n,
+                            into_iov=False)
         wr = yield from self.ctx.send(
             conn.qp,
             [(base, _HDR_SIZE + n, conn.send_slots_mr.lkey)],
             signaled=True)
         conn.ep.ledger[wr.wr_id] = (conn, slot)
         conn.slot_busy[slot] = True
-        conn.sent_msgs += 1
+        conn.window.sent += 1
         self._m_msgs.inc()
         self._m_bytes.inc(n)
         return n
@@ -306,15 +281,9 @@ class SrqChannel(RdmaChannel):
         while q and done < room:
             seg = q[0]  # [slot, offset, remaining]
             take = min(seg[2], room - done)
-            src_addr = self._pool.slot_addr(seg[0]) + seg[1]
-            copied = 0
-            while copied < take:
-                piece = cur.current(take - copied)
-                yield from self.node.membus.memcpy(
-                    self.node.mem, piece.addr, src_addr + copied,
-                    len(piece))
-                cur.advance(len(piece))
-                copied += len(piece)
+            yield from copy_iov(self.node, cur,
+                                self._pool.slot_addr(seg[0]) + seg[1],
+                                take, into_iov=True)
             seg[1] += take
             seg[2] -= take
             done += take
@@ -326,30 +295,10 @@ class SrqChannel(RdmaChannel):
                         self._pool.srq, self._pool.slot_addr(seg[0]))
                 yield from self.ctx.post_srq(self._pool.srq,
                                              self._pool.make_rr(seg[0]))
-                conn.consumed_msgs += 1
-                if self._credit_due(conn):
-                    yield from self._send_explicit_credit(conn)
+                conn.credits.consumed += 1
+                if conn.credits.credit_due():
+                    yield from conn.credits.send_explicit_credit()
         return done
-
-    def _credit_due(self, conn: SrqConnection) -> bool:
-        """Replenish when the unreported consumption reaches half the
-        window (the paper's threshold heuristic: amortize the credit
-        write without letting the sender run dry)."""
-        threshold = max(1, self.ch_cfg.srq_credits // 2)
-        return conn.consumed_msgs - conn.last_credit_sent >= threshold
-
-    def _send_explicit_credit(self, conn: SrqConnection) -> Generator:
-        """RDMA-write my cumulative consumed count into the peer's
-        credit replica.  Unsignaled and strictly monotonic, so lost
-        interleavings are harmless; the write pulses the peer's inbound
-        gate, waking a credit-stalled sender."""
-        conn.credit_out.write(struct.pack(_CREDIT_FMT, conn.consumed_msgs))
-        conn.last_credit_sent = conn.consumed_msgs
-        yield from self.ctx.rdma_write(
-            conn.qp, [(conn.credit_out.addr, 8, conn.credit_out_mr.lkey)],
-            conn.remote_credit_addr, conn.remote_credit_rkey,
-            signaled=False)
-        self._m_explicit_credits.inc()
 
     # -- deadlock diagnosis ------------------------------------------------
     def stall_edges(self) -> list:
@@ -358,18 +307,16 @@ class SrqChannel(RdmaChannel):
         eager message until that peer consumes and replenishes."""
         edges = []
         for peer, conn in self.conns.items():
-            acked = max(conn.peer_consumed, conn.replica_credit())
-            window = self.ch_cfg.srq_credits
-            if conn.sent_msgs - acked >= window:
+            win = conn.window
+            if not win.is_open():
                 edges.append((
                     self.rank, peer,
-                    f"SRQ credit window starved: sent="
-                    f"{conn.sent_msgs} acked={acked} window={window}, "
+                    f"SRQ credit window starved: sent={win.sent} "
+                    f"acked={win.acked} window={win.window}, "
                     "no replenish in flight"))
         return edges
 
 
-@register("mux")
 class MuxChannel(SrqChannel):
     """``srq`` with node-level sharing: one receive pool per node and a
     bounded QP pool per node pair.  A flow (src rank, dst rank) hashes

@@ -17,7 +17,6 @@ from ...hw.memory import Buffer
 from ...net.ipoib import TcpConnection, TcpStack
 from .base import (ChannelBrokenError, ChannelError, Connection,
                    IovCursor, RdmaChannel, iov_total)
-from .registry import register
 
 __all__ = ["TcpChannel", "TcpChannelConnection"]
 
@@ -54,7 +53,6 @@ def tcp_closed(tcp: TcpConnection) -> bool:
     return tcp.__dict__.get("_closed", False)
 
 
-@register("tcp")
 class TcpChannel(RdmaChannel):
     hint_per_connection = True
 

@@ -7,8 +7,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cluster import Cluster, build_cluster
 from repro.config import ChannelConfig, HardwareConfig
 from repro.hw.memory import Buffer
-from repro.mpich2.channels import (advance_iov, create, iov_total,
-                                   lookup)
+from repro.mpich2.channels import advance_iov, iov_total
+from repro.mpich2.designs import design as design_row
 
 __all__ = ["make_channel_pair", "put_all", "get_all", "run_procs"]
 
@@ -21,10 +21,11 @@ def make_channel_pair(design: str, cfg: Optional[HardwareConfig] = None,
     ``faults`` is an optional :class:`repro.faults.FaultPlan`;
     ``obs`` an optional :class:`repro.obs.Observability`; ``tune`` an
     optional :class:`repro.tune.TuneConfig`."""
-    cls = lookup(design)
+    row = design_row(design)
+    cls = row.channel
     cfg = cfg or HardwareConfig()
     ch_cfg = ch_cfg or ChannelConfig()
-    if design == "shm":
+    if row.one_node:
         cluster = build_cluster(1, cfg, faults=faults, obs=obs)
         n0 = n1 = cluster.nodes[0]
         ctx0, ctx1 = n0.vapi(0), n0.vapi(1)
@@ -32,10 +33,10 @@ def make_channel_pair(design: str, cfg: Optional[HardwareConfig] = None,
         cluster = build_cluster(2, cfg, faults=faults, obs=obs)
         n0, n1 = cluster.nodes
         ctx0, ctx1 = n0.vapi(0), n1.vapi(0)
-    ch0 = create(design, rank=0, node=n0, ctx=ctx0, cfg=cfg,
-                 ch_cfg=ch_cfg, tune=tune)
-    ch1 = create(design, rank=1, node=n1, ctx=ctx1, cfg=cfg,
-                 ch_cfg=ch_cfg, tune=tune)
+    ch0 = cls(rank=0, node=n0, ctx=ctx0, cfg=cfg, ch_cfg=ch_cfg,
+              tune=tune)
+    ch1 = cls(rank=1, node=n1, ctx=ctx1, cfg=cfg, ch_cfg=ch_cfg,
+              tune=tune)
     ch0.initialize(2)
     ch1.initialize(2)
     cls.establish(ch0, ch1)

@@ -118,3 +118,36 @@ class TestHarness:
             "srq-credit", mutation="pool-early-recycle", **cfg))
         chart = format_msc(result.lanes, result.violation.trace)
         assert "[" in chart and "]" in chart
+
+
+class TestSharedPredicates:
+    def test_runtime_replenish_patch_reaches_the_model(self, monkeypatch):
+        """The SRQ model decides "replenish due" with the predicate the
+        runtime credit return uses, so a seeded off-by-one in the
+        runtime (``>`` for ``>=``) deadlocks the *unmutated* model —
+        and the runtime it was patched into.  A one-credit window is
+        the geometry where that off-by-one never fires."""
+        from repro.check.differ import run_spec
+        from repro.check.spec import P2PMessage, P2PPhase, WorkloadSpec
+        from repro.mpich2.channels import parts
+
+        cfg = {"nmsgs": 3, "credits": 1, "pool_slots": 2}
+        spec = WorkloadSpec(
+            seed=0, nranks=2,
+            phases=(P2PPhase(messages=tuple(
+                P2PMessage(src=0, dst=1, tag=0, size=500)
+                for _ in range(3)), blocking=True),),
+            ch_cfg={"srq_credits": 1, "srq_pool_slots": 2},
+            time_cap=0.2)
+        assert check(build_model("srq-credit", **cfg)).ok
+        assert run_spec(spec, "srq").ok
+
+        monkeypatch.setattr(
+            parts, "replenish_due",
+            lambda consumed, credit_sent, threshold:
+                consumed - credit_sent > threshold)
+        result = check(build_model("srq-credit", **cfg))
+        assert result.violation is not None
+        assert result.violation.kind == "deadlock"
+        obs = run_spec(spec, "srq")
+        assert obs.error is not None and "DeadlockError" in obs.error

@@ -184,8 +184,8 @@ class TestCreditProtocol:
         assert dst.read() == src.read()
         # the receiver consumed everything the sender sent, and the
         # sender has absorbed at least the last explicit credit
-        assert c10.consumed_msgs == c01.sent_msgs
-        assert 0 <= c01.sent_msgs - c01.peer_consumed <= \
+        assert c10.credits.consumed == c01.window.sent
+        assert 0 <= c01.window.sent - c01.window.acked <= \
             ch0.ch_cfg.srq_credits
 
     def test_window_never_exceeded(self):
@@ -201,7 +201,7 @@ class TestCreditProtocol:
 
         def spying_put(conn, iov):
             got = yield from orig_put(conn, iov)
-            windows.append(conn.sent_msgs - conn.peer_consumed)
+            windows.append(conn.window.sent - conn.window.acked)
             return got
 
         ch0.put = spying_put
