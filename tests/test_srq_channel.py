@@ -88,7 +88,7 @@ class TestSrqPrimitive:
         """posted - consumed == outstanding >= 0 over any untimed
         post/consume interleaving (True = post, False = consume)."""
         max_wr = 8
-        _, _, srq, rr = _srq_fixture(max_wr=max_wr)
+        _, node, srq, rr = _srq_fixture(max_wr=max_wr)
         next_wr = 0
         for is_post in ops:
             if is_post:
@@ -99,7 +99,12 @@ class TestSrqPrimitive:
                     srq.post(rr(next_wr % (2 * max_wr)))
                     next_wr += 1
             else:
-                srq.try_consume()
+                got = srq.try_consume()
+                shadow = node.hca.shadow
+                if got is not None and shadow is not None:
+                    # the consumer's copy-out is done, as in
+                    # SrqChannel.get: the slot may be reposted
+                    shadow.on_srq_release(srq, got.sges[0].addr)
             assert srq.outstanding >= 0
             assert (srq.posted_total - srq.consumed_total
                     == srq.outstanding)
