@@ -6,7 +6,7 @@ the full simulated stack and returns a :class:`FigureData` whose
 suite under ``benchmarks/`` runs these and asserts the qualitative
 shapes; EXPERIMENTS.md records paper-vs-measured numbers.
 
-Figure index (see DESIGN.md §4):
+Figure index (see the root DESIGN.md §4):
 
 ====== ==============================================================
 Fig 4   basic-design MPI latency

@@ -253,7 +253,7 @@ class ChannelConfig(_ConfigMixin):
     #: CH3 rendezvous threshold for the CH3-level design (§6).
     ch3_rndv_threshold: int = 32 * KB
     # -- srq/mux connection-scaling designs (post-paper; see
-    # docs/DESIGN.md §"Connection scaling") ---------------------------
+    # docs/SIMULATOR.md §"Connection scaling") ------------------------
     #: receive buffers in the per-rank shared pool (SRQ designs).  The
     #: pool is shared by *all* peers, so pinned receive memory is
     #: srq_pool_slots * srq_slot_size regardless of world size.

@@ -1,7 +1,8 @@
 """Deterministic fault injection (plans, runtime state, statistics).
 
 See :mod:`repro.faults.plan` for the model and
-``DESIGN.md`` §7 for the recovery semantics built on top of it.
+the root ``DESIGN.md`` §7 for the recovery semantics built on top of
+it.
 """
 
 from .plan import (CORRUPT, DELAY, DROP, OK, FaultPlan, FaultState,

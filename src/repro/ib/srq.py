@@ -7,7 +7,7 @@ attach to one shared pool of receive WQEs on the same HCA, and an
 inbound SEND on *any* of them consumes the next WQE from the pool.
 Buffer memory then scales with the *traffic* a rank actually absorbs,
 not with the number of peers (the standard fix catalogued by RDMAvisor
-and Taranov et al.; see docs/DESIGN.md).
+and Taranov et al.; see docs/SIMULATOR.md).
 
 Backpressure when the pool runs dry follows IB's RNR (receiver not
 ready) NAK semantics, adapted to the simulator's two delivery paths:

@@ -11,7 +11,7 @@ stencil) for SP, 3×3-block tridiagonal (three coupled components) for
 BT.  The domain is z-slab partitioned: x and y line solves are local;
 the z solves transpose the pencil via alltoall (substituting NAS's
 multi-partition scheme with the same per-step traffic volume; noted
-in DESIGN.md).
+in the root DESIGN.md).
 """
 
 from __future__ import annotations

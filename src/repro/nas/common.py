@@ -1,6 +1,6 @@
 """Shared infrastructure for the NAS Parallel Benchmark kernels.
 
-Two modes exist (see DESIGN.md):
+Two modes exist (see the root DESIGN.md):
 
 * **real mode** — the kernels in this package do genuine parallel math
   over the simulated MPI at reduced problem sizes (class "T" for tiny,

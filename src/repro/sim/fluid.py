@@ -46,14 +46,14 @@ an intermediate allocation *is* observable — a sub-byte residue that
 ``_reallocate()`` completes on the spot — is settled change by change
 (see :meth:`FluidNetwork._mark_dirty`).
 ``tests/test_fluid_coalescing_equivalence.py`` holds the eager
-reference and the ``==`` comparison; docs/DESIGN.md names the three
+reference and the ``==`` comparison; docs/SIMULATOR.md names the three
 places where event *order* could in principle differ.
 
 Allocators
 ----------
 Two implementations of the same progressive-filling arithmetic, picked
 per re-solve from the size of the active set
-(``_SCALAR_MAX_FLOWS``; measured table in docs/DESIGN.md):
+(``_SCALAR_MAX_FLOWS``; measured table in docs/SIMULATOR.md):
 
 * small sets take the *scalar fold* — the historical per-dict loop,
   whose cost tracks the handful of resources in play and which pays
@@ -96,7 +96,7 @@ _EPS = 1e-15
 
 #: active sets of at most this many flows are allocated by the scalar
 #: fold, larger ones by the vector solver.  Both give the same floats;
-#: this is purely the measured host-cost crossover (docs/DESIGN.md).
+#: this is purely the measured host-cost crossover (docs/SIMULATOR.md).
 _SCALAR_MAX_FLOWS = 8
 
 #: stable creation-order ids for resources/flows: dict keys derived

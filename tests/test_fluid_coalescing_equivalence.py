@@ -19,7 +19,7 @@ and ``events_processed``.
 
 The generated programs schedule nothing but their own start callbacks
 (all before ``run()``), so no foreign entry can share a wakeup's
-bucket: hazard (i) of docs/DESIGN.md is excluded by construction and
+bucket: hazard (i) of docs/SIMULATOR.md is excluded by construction and
 probed on its own at the bottom, as is hazard (iii) (integer
 ``tie_seed``: a different but legal interleaving).
 """
