@@ -30,7 +30,7 @@ init-time mesh) trips it.
 
 import pytest
 
-from repro.mpi.runner import build_world, run_mpi_profiled
+from repro.mpi.runner import build_world, run_world
 
 NRANKS = 512
 
@@ -86,7 +86,7 @@ def footprints(bench_recorder):
     del world
 
     for nranks in (256, NRANKS):
-        res, world = run_mpi_profiled(nranks, _ring, design="srq-lazy")
+        res, world = run_world(nranks, _ring, design="srq-lazy")
         assert res == list(range(nranks))
         out[f"lazy{nranks}"] = (world.cluster.pinned_bytes() / nranks,
                                 world.connection_count(),

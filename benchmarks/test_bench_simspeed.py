@@ -36,7 +36,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.mpi import run_mpi_profiled
+from repro.mpi import run_world
 
 DESIGN = "basic"
 NRANKS = 512
@@ -77,7 +77,7 @@ def _measure(prog):
     # mid-run would be billed to this workload's wall
     gc.collect()
     t0 = time.perf_counter()
-    results, world = run_mpi_profiled(NRANKS, prog, design=DESIGN)
+    results, world = run_world(NRANKS, prog, design=DESIGN)
     wall = time.perf_counter() - t0
     return results, world, wall
 

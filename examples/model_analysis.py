@@ -1,29 +1,21 @@
-"""Performance-analysis toolkit tour: LogGP fitting, message tracing,
-and the run profiler.
+"""Performance-analysis tour: message tracing and the world's own
+counters.
 
-Three lenses on the same question — *where does communication time
+Two lenses on the same question — *where does communication time
 go?* — applied to the paper's designs:
 
-1. LogGP parameters (L, o, g, G) per design;
-2. a per-message timeline of a small NAS CG run;
-3. the resource-level breakdown of a bandwidth test.
+1. a per-message timeline of a small NAS CG run;
+2. the resource-level breakdown of an exchange, read straight from the
+   finished world (HCA counters, CPU copies, registration cache, bus
+   and link utilisation).
 
 Run:  python examples/model_analysis.py
 """
 
-from repro.bench.loggp import fit_loggp
-from repro.bench.profile import profile_run
 from repro.config import KB
-from repro.mpi.runner import build_world
+from repro.mpi.runner import build_world, run_world
 from repro.nas import KERNELS
 from repro.obs.msgtrace import MessageTracer
-
-
-def loggp_table():
-    print("== LogGP parameters per design ==")
-    for design in ("basic", "piggyback", "zerocopy", "ch3", "tcp"):
-        print(" ", fit_loggp(design).table())
-    print()
 
 
 def trace_cg():
@@ -42,7 +34,7 @@ def trace_cg():
     print()
 
 
-def profile_exchange():
+def breakdown_exchange():
     print("== resource breakdown: 256 KB exchange, pipeline vs "
           "zerocopy ==")
 
@@ -54,16 +46,32 @@ def profile_exchange():
             yield from mpi.Sendrecv(sbuf, peer, rbuf, peer)
 
     for design in ("pipeline", "zerocopy"):
-        run = profile_run(2, prog, design=design)
+        _results, world = run_world(2, prog, design=design)
+        elapsed = world.sim.now
+        hca = world.stats()
+        caches = [dev.channel.regcache for dev in world.devices]
+        copied = sum(n.membus.bytes_copied for n in world.cluster.nodes)
         print(f"--- {design} ---")
-        print(run.table())
+        print(f"elapsed (simulated)  {elapsed * 1e6:.1f} us")
+        print(f"RDMA writes / reads  {hca['rdma_writes']} / "
+              f"{hca['rdma_reads']}")
+        print(f"CPU-copied bytes     {copied}")
+        print(f"registrations        {hca['registrations']} (cache: "
+              f"{sum(rc.hits for rc in caches)} hits / "
+              f"{sum(rc.misses for rc in caches)} misses)")
+        net = world.cluster.net
+        for node in world.cluster.nodes:
+            bus = net.utilization(node.membus.bus, elapsed)
+            link = net.utilization(
+                world.cluster.fabric.uplink(node.node_id), elapsed)
+            print(f"node {node.node_id} membus / uplink busy  "
+                  f"{bus:.1%} / {link:.1%}")
         print()
 
 
 def main():
-    loggp_table()
     trace_cg()
-    profile_exchange()
+    breakdown_exchange()
 
 
 if __name__ == "__main__":

@@ -4,14 +4,14 @@ The testbed's nodes are dual-processor; with two ranks per node, the
 multi-method channel routes intra-node pairs through (actually) shared
 memory and inter-node pairs through the zero-copy RDMA design.  This
 example shows the win on a nearest-neighbour exchange where half the
-neighbours are local, and uses the profiler to show *why* (fewer RDMA
-operations, more CPU copies).
+neighbours are local, and reads the finished world's counters to show
+*why* (fewer RDMA operations, more CPU copies).
 
 Run:  python examples/smp_cluster.py
 """
 
-from repro.bench.profile import profile_run
 from repro.config import KB
+from repro.mpi import run_world
 
 
 def exchange(mpi):
@@ -38,15 +38,16 @@ def main():
     # 8 ranks on 4 dual-CPU nodes: ranks r and r+4 share node r%4,
     # so the ring alternates local and remote neighbours
     for design in ("zerocopy", "multimethod"):
-        run = profile_run(8, exchange, design=design, nnodes=4)
-        worst = max(run.results)
+        results, world = run_world(8, exchange, design=design, nnodes=4)
+        hca = world.stats()
+        copied = sum(n.membus.bytes_copied for n in world.cluster.nodes)
         print(f"=== {design} (8 ranks on 4 nodes) ===")
         print(f"  20 rounds of 64 KB local+remote exchange: "
-              f"{worst:.1f} us")
-        print(f"  RDMA writes={run.hca['rdma_writes']} "
-              f"reads={run.hca['rdma_reads']} "
-              f"bytes_written={run.hca['bytes_written']}")
-        print(f"  CPU-copied bytes={run.cpu_copied_bytes}\n")
+              f"{max(results):.1f} us")
+        print(f"  RDMA writes={hca['rdma_writes']} "
+              f"reads={hca['rdma_reads']} "
+              f"bytes_written={hca['bytes_written']}")
+        print(f"  CPU-copied bytes={copied}\n")
 
 
 if __name__ == "__main__":

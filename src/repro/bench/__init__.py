@@ -6,7 +6,6 @@ command line, or ``pytest benchmarks/ --benchmark-only`` for the
 asserted versions.
 """
 
-from .loggp import LogGPParams, fit_loggp
 from .micro import (bandwidth_sweep, latency_sweep, mpi_bandwidth,
                     mpi_latency_us)
 from .raw import raw_latency_us, raw_read_bandwidth, raw_write_bandwidth
@@ -14,5 +13,5 @@ from .raw import raw_latency_us, raw_read_bandwidth, raw_write_bandwidth
 __all__ = [
     "mpi_latency_us", "mpi_bandwidth", "latency_sweep",
     "bandwidth_sweep", "raw_latency_us", "raw_read_bandwidth",
-    "raw_write_bandwidth", "fit_loggp", "LogGPParams",
+    "raw_write_bandwidth",
 ]

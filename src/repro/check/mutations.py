@@ -167,8 +167,12 @@ def _mut_header_before_payload():
     return _patch(ring.RingSender, "post", bad_post)
 
 
-def _mut_skip_tail_update():
-    """Mark explicit credits as sent without the RDMA write."""
+def _mut_credit_marked_sent():
+    """Mark explicit credits as sent without the RDMA write.  The ring
+    (tail-pointer update) and the SRQ pool (credit message) return
+    credits through the same part, so one patch serves both rows: on
+    a one-way stream there is no reverse traffic to piggyback credits
+    on, and the sender starves at its window."""
     from ..mpich2.channels import parts
 
     def bad(self):
@@ -297,20 +301,6 @@ def _mut_match_ignores_tag():
     return undo
 
 
-def _mut_srq_credit_leak():
-    """Mark explicit SRQ credits as sent without the RDMA write.  On a
-    one-way stream there is no reverse traffic to piggyback credits
-    on, so the sender's window never refills past ``srq_credits``."""
-    from ..mpich2.channels import parts
-
-    def bad(self):
-        self.credit_sent = self.consumed
-        return None
-        yield  # pragma: no cover - makes this a generator
-
-    return _patch(parts.CreditReturn, "send_explicit_credit", bad)
-
-
 def _mut_srq_pool_write_race():
     """Recycle each shared-pool receive slot at CQE time, before the
     consumer copies the payload out (the classic repost-too-early SRQ
@@ -407,7 +397,7 @@ CATALOG: List[Mutation] = [
              "explicit tail-pointer update marked sent but never "
              "written",
              "pipeline", _stream_spec(),
-             _mut_skip_tail_update),
+             _mut_credit_marked_sent),
     Mutation("ignore-credits",
              "sender discards all flow-control credits",
              "pipeline", _stream_spec(),
@@ -449,7 +439,7 @@ CATALOG: List[Mutation] = [
              "explicit SRQ credit marked sent but never written "
              "(sender starves at the credit window)",
              "srq", _srq_spec(),
-             _mut_srq_credit_leak),
+             _mut_credit_marked_sent),
     Mutation("srq-pool-write-race",
              "shared receive slot recycled at CQE time, before "
              "copy-out (arriving data can overwrite unread slots)",

@@ -18,9 +18,7 @@ convention of 1e6 bytes.
 
 from __future__ import annotations
 
-import dataclasses
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["HardwareConfig", "ChannelConfig", "KB", "MB", "US",
            "PAGE_SIZE"]
@@ -31,73 +29,10 @@ US = 1e-6
 PAGE_SIZE = 4096
 
 
-def _coerce_field(f: dataclasses.Field, raw: str):
-    """Parse a string (environment) value into a config field's type."""
-    by_name = {"bool": bool, "int": int, "float": float, "str": str}
-    if isinstance(f.type, type):
-        kind = f.type
-    else:  # ``from __future__ import annotations``: types are strings
-        kind = by_name.get(f.type, type(f.default))
-    if kind is bool:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse {raw!r} as a boolean for "
-                         f"{f.name}")
-    if kind is int:
-        return int(raw, 0)
-    if kind is float:
-        return float(raw)
-    return raw
-
-
-class _ConfigMixin:
-    """``replace`` / ``from_dict`` / ``from_env`` shared by the config
-    dataclasses."""
-
-    def replace(self, **kw):
-        """Return a copy with some fields overridden."""
-        return dataclasses.replace(self, **kw)
-
-    @classmethod
-    def from_dict(cls, data):
-        """Build a config from a mapping of field names; unknown keys
-        raise ``TypeError`` (catching typos beats ignoring them)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise TypeError(
-                f"{cls.__name__}.from_dict: unknown fields "
-                f"{sorted(unknown)}; valid fields are {sorted(known)}")
-        return cls(**data)
-
-    @classmethod
-    def from_env(cls, prefix=None, env=None):
-        """Build a config from environment variables.
-
-        Each field ``foo_bar`` is read from ``<PREFIX>FOO_BAR`` when
-        set (default prefix ``REPRO_<CLASSNAME>_``, e.g.
-        ``REPRO_CHANNELCONFIG_RING_SIZE=65536``); unset fields keep
-        their defaults.  Pass ``env`` (a mapping) to read from
-        something other than ``os.environ``."""
-        if prefix is None:
-            prefix = f"REPRO_{cls.__name__.upper()}_"
-        if env is None:
-            env = os.environ
-        kw = {}
-        for f in dataclasses.fields(cls):
-            raw = env.get(prefix + f.name.upper())
-            if raw is not None:
-                kw[f.name] = _coerce_field(f, raw)
-        return cls(**kw)
-
-
 @dataclass(frozen=True, kw_only=True)
-class HardwareConfig(_ConfigMixin):
+class HardwareConfig:
     """Calibrated testbed model.  Instances are immutable; derive
-    variants with :meth:`replace`."""
+    variants with :func:`dataclasses.replace`."""
 
     # ------------------------------------------------------------------
     # InfiniBand 4X link + switch
@@ -228,7 +163,7 @@ class HardwareConfig(_ConfigMixin):
 
 
 @dataclass(frozen=True, kw_only=True)
-class ChannelConfig(_ConfigMixin):
+class ChannelConfig:
     """Tunables of the RDMA Channel designs (§4–§5).
 
     Defaults follow the paper's chosen operating point: 16 KB chunks

@@ -18,20 +18,19 @@ from ..mpich2.adi3 import ANY_SOURCE, ANY_TAG, MpiError, Request, \
 from .comm import Communicator
 from .datatypes import (BAND, BOR, BXOR, LAND, LOR, MAX, MAXLOC, MIN,
                         MINLOC, PROD, SUM, Op)
-from .cart import CartComm, dims_create
 from .derived import (CHAR, COMPLEX128, DOUBLE, FLOAT32, FLOAT64,
                       INT32, INT64, Datatype)
 from .runner import (DESIGNS, MpiContext, World, build_world, run_mpi,
-                     run_mpi_profiled)
+                     run_world)
 from .status import Status
 
 __all__ = [
-    "run_mpi", "run_mpi_profiled", "build_world", "DESIGNS",
+    "run_mpi", "run_world", "build_world", "DESIGNS",
     "MpiContext", "World",
     "Communicator", "Status", "Request",
     "ANY_SOURCE", "ANY_TAG", "MpiError", "TruncateError",
     "Op", "SUM", "PROD", "MAX", "MIN", "LAND", "LOR", "BAND", "BOR",
     "BXOR", "MAXLOC", "MINLOC",
     "Datatype", "CHAR", "INT32", "INT64", "FLOAT32", "FLOAT64",
-    "DOUBLE", "COMPLEX128", "CartComm", "dims_create",
+    "DOUBLE", "COMPLEX128",
 ]

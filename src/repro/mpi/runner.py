@@ -22,12 +22,12 @@ from ..hw.memory import Buffer
 from ..mpich2.ch3 import Ch3Device
 from ..mpich2.connect import LazyConnector
 from ..mpich2.designs import DESIGNS, design as design_row
-from ..tune import TuneConfig
 from ..sim.engine import Simulator
 from .comm import Communicator
 from .status import ANY_SOURCE, ANY_TAG, Status
 
-__all__ = ["MpiContext", "World", "run_mpi", "build_world", "DESIGNS"]
+__all__ = ["MpiContext", "World", "run_mpi", "run_world", "build_world",
+           "DESIGNS"]
 
 
 class MpiContext:
@@ -146,23 +146,18 @@ def build_world(nranks: int, design: str = "zerocopy",
                 nnodes: Optional[int] = None,
                 faults: Optional[FaultPlan] = None,
                 obs=None,
-                tune: Optional[TuneConfig] = None,
                 tie_seed: Optional[int] = None) -> World:
     """Construct a world: ranks round-robin over nodes (default one
     rank per node, like the paper's runs).  ``faults`` injects
     deterministic fabric/HCA faults (see :mod:`repro.faults`);
     ``obs`` (a :class:`repro.obs.Observability`) records per-layer
-    counters and timeline spans for the run; ``tune`` configures the
-    adaptive controller (defaults to on for the ``adaptive`` design,
-    off — never consulted — everywhere else); ``tie_seed`` enables
+    counters and timeline spans for the run; ``tie_seed`` enables
     the engine's seeded schedule perturbation (see
     :class:`repro.sim.engine.Simulator` — None keeps the historical
     schedule bit-for-bit)."""
     row = design_row(design)
     cfg = HardwareConfig() if cfg is None else cfg
     ch_cfg = ChannelConfig() if ch_cfg is None else ch_cfg
-    if row.tuned and tune is None:
-        tune = TuneConfig()
 
     if row.one_node:
         nnodes = 1  # all ranks share one node's memory
@@ -181,7 +176,7 @@ def build_world(nranks: int, design: str = "zerocopy",
             cpu_index = r // nnodes
             ctx = node.vapi(cpu_index % len(node.cpus))
             chan = row.channel(rank=r, node=node, ctx=ctx, cfg=cfg,
-                               ch_cfg=ch_cfg, tune=tune)
+                               ch_cfg=ch_cfg)
             chan.initialize(nranks)
             channels.append(chan)
 
@@ -214,26 +209,26 @@ def build_world(nranks: int, design: str = "zerocopy",
         return world
 
 
-def run_mpi_profiled(nranks: int, prog: Callable, *,
-                     design: str = "zerocopy",
-                     cfg: Optional[HardwareConfig] = None,
-                     ch_cfg: Optional[ChannelConfig] = None,
-                     nnodes: Optional[int] = None,
-                     faults: Optional[FaultPlan] = None,
-                     obs=None,
-                     tune: Optional[TuneConfig] = None,
-                     tie_seed: Optional[int] = None,
-                     args: Sequence = (),
-                     until: Optional[float] = None
-                     ) -> Tuple[List, "World"]:
+def run_world(nranks: int, prog: Callable, *,
+              design: str = "zerocopy",
+              cfg: Optional[HardwareConfig] = None,
+              ch_cfg: Optional[ChannelConfig] = None,
+              nnodes: Optional[int] = None,
+              faults: Optional[FaultPlan] = None,
+              obs=None,
+              tie_seed: Optional[int] = None,
+              args: Sequence = (),
+              until: Optional[float] = None) -> Tuple[List, "World"]:
     """Like :func:`run_mpi`, but returns ``(per-rank return values,
-    world)`` so callers can inspect the finished world — the simspeed
-    benchmark and the scale tier read ``world.sim.events_processed``
-    and ``world.sim.now`` for throughput and run fingerprints.
+    world)`` so callers can inspect the finished world: its clock
+    (``world.sim.now``, ``events_processed``), HCA counters
+    (``world.stats()``), per-node copy volume
+    (``node.membus.bytes_copied``), registration caches and fabric
+    utilisation (``world.cluster.net.utilization``).
     """
     with _gc_paused():
         world = build_world(nranks, design, cfg, ch_cfg, nnodes, faults,
-                            obs=obs, tune=tune, tie_seed=tie_seed)
+                            obs=obs, tie_seed=tie_seed)
         procs = [world.cluster.spawn(prog(ctx, *args),
                                      f"rank{ctx.rank}")
                  for ctx in world.contexts]
@@ -248,7 +243,6 @@ def run_mpi(nranks: int, prog: Callable, *,
             nnodes: Optional[int] = None,
             faults: Optional[FaultPlan] = None,
             obs=None,
-            tune: Optional[TuneConfig] = None,
             tie_seed: Optional[int] = None,
             args: Sequence = (),
             until: Optional[float] = None) -> Tuple[List, float]:
@@ -258,8 +252,8 @@ def run_mpi(nranks: int, prog: Callable, *,
     ``prog`` must be a generator function; all MPI calls inside use
     ``yield from`` (see the examples/ directory).
     """
-    results, world = run_mpi_profiled(
+    results, world = run_world(
         nranks, prog, design=design, cfg=cfg, ch_cfg=ch_cfg,
-        nnodes=nnodes, faults=faults, obs=obs, tune=tune,
-        tie_seed=tie_seed, args=args, until=until)
+        nnodes=nnodes, faults=faults, obs=obs, tie_seed=tie_seed,
+        args=args, until=until)
     return results, world.sim.now

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 from ..hw.memory import Buffer
 
@@ -105,11 +105,6 @@ class Adi3Device(abc.ABC):
             yield from self.progress(block=True)
         req.check()
         return req
-
-    def waitall(self, reqs: Sequence[Request]) -> Generator:
-        for req in reqs:
-            yield from self.wait(req)
-        return list(reqs)
 
     @abc.abstractmethod
     def finalize(self) -> Generator:

@@ -7,14 +7,10 @@ points and a budgeted batched completion drain:
   static §6 threshold, and feeds the controller the message size and
   the send-queue depth (its streaming/latency classifier input);
 * the progress engine drains send CQs in bounded batches
-  (``TuneConfig.cq_poll_budget``), charging one poll cost per batch
-  rather than one per CQE, and hands zero-copy read completions back
-  to the channel's state machine (both protocols share the send CQ).
-
-With the tuner disabled every query returns the static configuration
-and this class behaves exactly like :class:`Ch3RdmaDevice` apart from
-the batch drain — which it then runs with a budget of 1, making the
-drain CQE-for-CQE identical to the base device's loop.
+  (``repro.tune.controller.CQ_POLL_BUDGET``), charging one poll cost
+  per batch rather than one per CQE, and hands zero-copy read
+  completions back to the channel's state machine (both protocols
+  share the send CQ).
 """
 
 from __future__ import annotations

@@ -16,9 +16,8 @@ in the same band).  This design carries both state machines and lets
 * a peer classified *latency-bound* gets the channel-level zero-copy
   RDMA read (the controller re-arms ``conn.zc_threshold``).
 
-With ``TuneConfig.off()`` (or no tune config at all) the controller is
-never constructed, every knob keeps its static value, and the channel
-is byte- and time-identical to :class:`ZeroCopyChannel`.
+The controller is always on; the same machinery with fixed knobs is
+:class:`ZeroCopyChannel` (design ``zerocopy``).
 """
 
 from __future__ import annotations
@@ -48,13 +47,10 @@ class AdaptiveChannel(ChunkedChannel):
 
     def __init__(self, **kw):
         super().__init__(**kw)
-        if self.tune_cfg.enabled:
-            self.tuner = AdaptiveController(
-                rank=self.rank, cfg=self.tune_cfg, hw=self.cfg,
-                ch_cfg=self.ch_cfg,
-                metrics=self.obs.metrics.scope(f"rank{self.rank}.tune"),
-                regcache=self.regcache)
-        # else: self.tuner stays NULL_TUNER (set by the base class)
+        self.tuner = AdaptiveController(
+            rank=self.rank, hw=self.cfg, ch_cfg=self.ch_cfg,
+            metrics=self.obs.metrics.scope(f"rank{self.rank}.tune"),
+            regcache=self.regcache)
 
     @classmethod
     def establish(cls, a: "AdaptiveChannel", b: "AdaptiveChannel"

@@ -33,7 +33,7 @@ from typing import Dict, Generator, List, Optional, Sequence
 from ...config import ChannelConfig, HardwareConfig
 from ...hw.memory import Buffer
 from ...ib.verbs import VapiContext
-from ...tune import NULL_TUNER, TuneConfig
+from ...tune import NULL_TUNER
 
 __all__ = ["RdmaChannel", "Connection", "IovCursor", "advance_iov",
            "clamp_iov", "iov_total", "ChannelError",
@@ -195,16 +195,12 @@ class RdmaChannel(abc.ABC):
 
     def __init__(self, *, rank: int, node, ctx: VapiContext,
                  cfg: Optional[HardwareConfig] = None,
-                 ch_cfg: Optional[ChannelConfig] = None,
-                 tune: Optional[TuneConfig] = None):
+                 ch_cfg: Optional[ChannelConfig] = None):
         self.rank = rank
         self.node = node
         self.ctx = ctx
         self.cfg = cfg if cfg is not None else HardwareConfig()
         self.ch_cfg = ch_cfg if ch_cfg is not None else ChannelConfig()
-        #: adaptive-tuning bounds; the stack-wide default is off, under
-        #: which no tuner is ever consulted (bit-for-bit guarantee).
-        self.tune_cfg = tune if tune is not None else TuneConfig.off()
         #: the design's controller; stays NULL_TUNER unless a design
         #: that supports adaptation replaces it (see AdaptiveChannel).
         self.tuner = NULL_TUNER

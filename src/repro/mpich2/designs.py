@@ -2,10 +2,9 @@
 
 A design is a channel class plus the few choices made around it: the
 CH3 device above the channel, whether connections are built on first
-send instead of at init, whether every rank shares one node, and
-whether the adaptive controller is on by default.  ``build_world``,
-the conformance harness and the test helpers all read this table;
-adding a row is how a design enrols in all of them.
+send instead of at init, and whether every rank shares one node.
+``build_world``, the conformance harness and the test helpers all read
+this table; adding a row is how a design enrols in all of them.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ class Design:
     lazy: bool = False
     #: all ranks share one node's memory
     one_node: bool = False
-    #: the adaptive controller runs unless the caller passes a TuneConfig
-    tuned: bool = False
 
 
 DESIGNS: Dict[str, Design] = {
@@ -46,7 +43,7 @@ DESIGNS: Dict[str, Design] = {
     "ch3": Design(PipelineChannel, Ch3RdmaDevice),
     "multimethod": Design(MultiMethodChannel),
     "tcp": Design(TcpChannel),
-    "adaptive": Design(AdaptiveChannel, Ch3AdaptiveDevice, tuned=True),
+    "adaptive": Design(AdaptiveChannel, Ch3AdaptiveDevice),
     "srq": Design(SrqChannel),
     "mux": Design(MuxChannel),
     "srq-lazy": Design(SrqChannel, lazy=True),

@@ -505,12 +505,6 @@ class Simulator:
 
     # -- queue bookkeeping ----------------------------------------------
     @property
-    def _heap(self) -> List[float]:
-        """Truthiness-compatible view of the pending queue (legacy
-        name: the old implementation exposed the raw event heap)."""
-        return self._times
-
-    @property
     def pending_events(self) -> int:
         """Queued entries, including cancelled ones not yet reaped."""
         return self._pending_events

@@ -3,18 +3,15 @@ metrics (see :mod:`repro.tune.controller` for the design).
 
 Entry points:
 
-* :class:`TuneConfig` — bounds/cadence; ``TuneConfig.off()`` is the
-  stack-wide default (bit-for-bit identical to the untuned stack).
-* :class:`AdaptiveController` — the per-rank, per-peer controller.
-* :data:`NULL_TUNER` — the disabled stand-in all channels carry by
-  default.
+* :class:`AdaptiveController` — the per-rank, per-peer controller; its
+  bounds and cadence are constants in :mod:`repro.tune.controller`.
+* :data:`NULL_TUNER` — the stand-in every static design carries.
 
 Run the adaptive stack with ``run_mpi(n, prog, design="adaptive")``.
 """
 
-from .config import TuneConfig
 from .controller import (NULL_TUNER, PROTO_READ, PROTO_WRITE,
                          THRESHOLD_OFF, AdaptiveController, NullTuner)
 
-__all__ = ["TuneConfig", "AdaptiveController", "NullTuner",
+__all__ = ["AdaptiveController", "NullTuner",
            "NULL_TUNER", "PROTO_WRITE", "PROTO_READ", "THRESHOLD_OFF"]

@@ -26,21 +26,20 @@ Everything is a pure function of the deterministic event stream — no
 randomness, no wall-clock — so the same workload produces the same
 decision log, timings included.  Decisions move at most one
 power-of-two step per window and only past a hysteresis margin, so
-they converge instead of flapping.
+they converge instead of flapping.  The bounds and cadence are the
+module constants below; the ``adaptive`` design always runs the
+controller.
 
-:class:`NullTuner` is the disabled stand-in every channel and device
-carries by default; its hooks are no-ops and its queries return the
-static configuration, so an untuned run is bit-for-bit the static
-stack.
+:class:`NullTuner` is the stand-in every static design carries; its
+hooks are no-ops and its queries return the static configuration.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..config import ChannelConfig, HardwareConfig
+from ..config import KB, ChannelConfig, HardwareConfig
 from ..obs.metrics import MetricsRegistry
-from .config import TuneConfig
 
 __all__ = ["AdaptiveController", "NullTuner", "NULL_TUNER",
            "PROTO_WRITE", "PROTO_READ", "THRESHOLD_OFF"]
@@ -50,6 +49,27 @@ PROTO_READ = "read"
 
 #: a threshold no message size reaches: the path is switched off.
 THRESHOLD_OFF = 1 << 62
+
+#: messages per peer between controller re-evaluations (one
+#: "window"); decisions only change at window boundaries, so the
+#: decision stream is a deterministic function of the workload.
+SAMPLE_EVERY = 16
+#: relative margin a recomputed threshold must move by before the
+#: controller adopts it (prevents flapping between adjacent operating
+#: points; thresholds also move at most one power-of-two step per
+#: window, so convergence is monotone under a steady workload).
+HYSTERESIS = 0.25
+#: a window whose maximum send-queue depth reaches this many
+#: outstanding messages is classified as *streaming* (bandwidth
+#: bound); below it the peer is latency bound (ping-pong-like).
+STREAMING_DEPTH = 2
+#: bounds on the tuned eager/rendezvous crossover (the §6 threshold
+#: the controller moves per peer).
+MIN_CROSSOVER = 4 * KB
+MAX_CROSSOVER = 256 * KB
+#: completions drained per progress-engine sweep through one CQ (the
+#: bounded poll budget of the batched drain path).
+CQ_POLL_BUDGET = 8
 
 
 class NullTuner:
@@ -78,9 +98,6 @@ class NullTuner:
 
     def protocol(self, peer: int) -> str:
         return PROTO_WRITE
-
-    def crossover(self, peer: int) -> int:  # pragma: no cover - parity
-        return THRESHOLD_OFF
 
     def cq_budget(self, default: int = 1) -> int:
         return default
@@ -159,10 +176,9 @@ class AdaptiveController:
 
     enabled = True
 
-    def __init__(self, *, rank: int, cfg: TuneConfig, hw: HardwareConfig,
+    def __init__(self, *, rank: int, hw: HardwareConfig,
                  ch_cfg: ChannelConfig, metrics=None, regcache=None):
         self.rank = rank
-        self.cfg = cfg
         self.hw = hw
         self.ch_cfg = ch_cfg
         self.regcache = regcache
@@ -187,9 +203,8 @@ class AdaptiveController:
     def _peer(self, peer: int) -> _PeerState:
         st = self._peers.get(peer)
         if st is None:
-            lo, hi = self.cfg.min_crossover, self.cfg.max_crossover
-            st = _PeerState(min(max(self.ch_cfg.ch3_rndv_threshold, lo),
-                                hi))
+            st = _PeerState(min(max(self.ch_cfg.ch3_rndv_threshold,
+                                    MIN_CROSSOVER), MAX_CROSSOVER))
             self._peers[peer] = st
         return st
 
@@ -246,7 +261,7 @@ class AdaptiveController:
     def _bump(self, peer: int, st: _PeerState) -> None:
         st.events += 1
         self._event_seq += 1
-        if st.events % self.cfg.sample_every == 0:
+        if st.events % SAMPLE_EVERY == 0:
             self._retune(peer, st)
 
     # ------------------------------------------------------------------
@@ -258,7 +273,7 @@ class AdaptiveController:
         st = self._peer(peer)
         if st.proto is not PROTO_WRITE:
             return THRESHOLD_OFF
-        return st.crossover if self.cfg.tune_crossover else default
+        return st.crossover
 
     def protocol(self, peer: int) -> str:
         return self._peer(peer).proto
@@ -267,7 +282,7 @@ class AdaptiveController:
         return self._peer(peer).crossover
 
     def cq_budget(self, default: int = 1) -> int:
-        return self.cfg.cq_poll_budget
+        return CQ_POLL_BUDGET
 
     # ------------------------------------------------------------------
     # the retune step
@@ -296,7 +311,7 @@ class AdaptiveController:
         write_bw = hw.pci_dma_bandwidth
         per_byte_gain = 1.0 / eager_bw - 1.0 / write_bw
         if per_byte_gain <= 0:
-            return self.cfg.max_crossover
+            return MAX_CROSSOVER
         ctl = (hw.wire_latency + hw.hca_send_processing
                + hw.hca_recv_processing + 2 * hw.pci_latency
                + 4 * hw.chunk_overhead_cpu + hw.ch3_packet_overhead)
@@ -313,76 +328,70 @@ class AdaptiveController:
 
     def _retune(self, peer: int, st: _PeerState) -> None:
         self._m_retunes.inc()
-        cfg = self.cfg
-        streaming = st.w_max_depth >= cfg.streaming_depth
+        streaming = st.w_max_depth >= STREAMING_DEPTH
         mean_size = self._window_mean_size(st)
 
         # 1. eager/rendezvous crossover ---------------------------------
-        if cfg.tune_crossover:
-            target = self._crossover_target(mean_size)
-            target = min(max(target, cfg.min_crossover),
-                         cfg.max_crossover)
-            target = _pow2_nearest(target)
-            cur = st.crossover
-            if target != cur and (
-                    abs(target - cur) > cfg.hysteresis * cur):
-                # move only after two consecutive windows agree on the
-                # direction: the first window after a phase change (or
-                # a cold registration cache) is noise, and an excursion
-                # in the wrong direction costs a whole window of
-                # mis-routed messages
-                direction = 1 if target > cur else -1
-                if st.xover_pending == direction:
-                    # one power-of-two step per window toward the target
-                    new = cur * 2 if direction > 0 else cur // 2
-                    new = min(max(new, cfg.min_crossover),
-                              cfg.max_crossover)
-                    if new != cur:
-                        st.crossover = new
-                        self._record(peer, st, "crossover", cur, new)
-                else:
-                    st.xover_pending = direction
+        target = self._crossover_target(mean_size)
+        target = _pow2_nearest(min(max(target, MIN_CROSSOVER),
+                                   MAX_CROSSOVER))
+        cur = st.crossover
+        if target != cur and abs(target - cur) > HYSTERESIS * cur:
+            # move only after two consecutive windows agree on the
+            # direction: the first window after a phase change (or a
+            # cold registration cache) is noise, and an excursion in
+            # the wrong direction costs a whole window of mis-routed
+            # messages
+            direction = 1 if target > cur else -1
+            if st.xover_pending == direction:
+                # one power-of-two step per window toward the target
+                new = cur * 2 if direction > 0 else cur // 2
+                new = min(max(new, MIN_CROSSOVER), MAX_CROSSOVER)
+                if new != cur:
+                    st.crossover = new
+                    self._record(peer, st, "crossover", cur, new)
             else:
-                st.xover_pending = 0
+                st.xover_pending = direction
+        else:
+            st.xover_pending = 0
 
         # 2. large-message protocol (write vs read) ---------------------
-        if cfg.tune_protocol:
-            candidate = PROTO_WRITE if streaming else PROTO_READ
-            if candidate == st.proto:
-                st.proto_pending = None
-            elif st.proto_pending == candidate:
-                # second consecutive window agreeing: switch
-                self._record(peer, st, "protocol", st.proto, candidate)
-                st.proto = candidate
-                st.proto_pending = None
-            else:
-                st.proto_pending = candidate
-            if st.conn is not None and hasattr(st.conn, "zc_threshold"):
-                # arm the channel RDMA-read path the first time this
-                # peer is latency-bound AND we actually send it large
-                # elements (a rank that only acks a stream never pays
-                # the §5 check overhead).  Arming is sticky: on a flip
-                # back to rendezvous-write the device intercepts new
-                # large sends before they reach the ring, but eager
-                # messages already queued at CH3 keep their zero-copy
-                # route instead of degrading to ring streaming.
-                if (st.proto is PROTO_READ and not st.zc_armed
-                        and st.w_max_send >= st.crossover):
-                    st.zc_armed = True
-                want = st.crossover if st.zc_armed else THRESHOLD_OFF
-                if st.conn.zc_threshold != want:
-                    self._record(peer, st, "zc_threshold",
-                                 st.conn.zc_threshold, want)
-                    st.conn.zc_threshold = want
-                # the per-call check is elided whenever the read path
-                # cannot start new operations for this peer
-                if hasattr(st.conn, "zc_fastpath"):
-                    st.conn.zc_fastpath = not (
-                        st.proto is PROTO_READ and st.zc_armed)
+        candidate = PROTO_WRITE if streaming else PROTO_READ
+        if candidate == st.proto:
+            st.proto_pending = None
+        elif st.proto_pending == candidate:
+            # second consecutive window agreeing: switch
+            self._record(peer, st, "protocol", st.proto, candidate)
+            st.proto = candidate
+            st.proto_pending = None
+        else:
+            st.proto_pending = candidate
+        if st.conn is not None and hasattr(st.conn, "zc_threshold"):
+            # arm the channel RDMA-read path the first time this peer
+            # is latency-bound AND we actually send it large elements
+            # (a rank that only acks a stream never pays the §5 check
+            # overhead).  Arming is sticky: on a flip back to
+            # rendezvous-write the device intercepts new large sends
+            # before they reach the ring, but eager messages already
+            # queued at CH3 keep their zero-copy route instead of
+            # degrading to ring streaming.
+            if (st.proto is PROTO_READ and not st.zc_armed
+                    and st.w_max_send >= st.crossover):
+                st.zc_armed = True
+            want = st.crossover if st.zc_armed else THRESHOLD_OFF
+            if st.conn.zc_threshold != want:
+                self._record(peer, st, "zc_threshold",
+                             st.conn.zc_threshold, want)
+                st.conn.zc_threshold = want
+            # the per-call check is elided whenever the read path
+            # cannot start new operations for this peer
+            if hasattr(st.conn, "zc_fastpath"):
+                st.conn.zc_fastpath = not (
+                    st.proto is PROTO_READ and st.zc_armed)
 
         # 3. credit/tail-update coalescing ------------------------------
         recv = getattr(st.conn, "receiver", None)
-        if cfg.coalesce_credits and recv is not None:
+        if recv is not None:
             arrivals = recv.chunks_received - st.chunks0
             # hold tail updates only while the handshake traffic is
             # sparse: once arrivals cycle the whole ring within a
@@ -400,8 +409,7 @@ class AdaptiveController:
                 recv.credit_threshold = want
 
         # 4. soft chunk cap ---------------------------------------------
-        if cfg.tune_chunk and st.conn is not None and hasattr(
-                st.conn, "soft_max_payload"):
+        if st.conn is not None and hasattr(st.conn, "soft_max_payload"):
             soft = None
             if (not streaming and mean_size >= 4096
                     and mean_size < st.crossover):

@@ -15,12 +15,11 @@ __all__ = ["make_channel_pair", "put_all", "get_all", "run_procs"]
 
 def make_channel_pair(design: str, cfg: Optional[HardwareConfig] = None,
                       ch_cfg: Optional[ChannelConfig] = None,
-                      faults=None, obs=None, tune=None):
+                      faults=None, obs=None):
     """Build a cluster with two connected channel endpoints of the
     given design; returns (cluster, chan0, chan1, conn0, conn1).
     ``faults`` is an optional :class:`repro.faults.FaultPlan`;
-    ``obs`` an optional :class:`repro.obs.Observability`; ``tune`` an
-    optional :class:`repro.tune.TuneConfig`."""
+    ``obs`` an optional :class:`repro.obs.Observability`."""
     row = design_row(design)
     cls = row.channel
     cfg = cfg or HardwareConfig()
@@ -33,10 +32,8 @@ def make_channel_pair(design: str, cfg: Optional[HardwareConfig] = None,
         cluster = build_cluster(2, cfg, faults=faults, obs=obs)
         n0, n1 = cluster.nodes
         ctx0, ctx1 = n0.vapi(0), n1.vapi(0)
-    ch0 = cls(rank=0, node=n0, ctx=ctx0, cfg=cfg, ch_cfg=ch_cfg,
-              tune=tune)
-    ch1 = cls(rank=1, node=n1, ctx=ctx1, cfg=cfg, ch_cfg=ch_cfg,
-              tune=tune)
+    ch0 = cls(rank=0, node=n0, ctx=ctx0, cfg=cfg, ch_cfg=ch_cfg)
+    ch1 = cls(rank=1, node=n1, ctx=ctx1, cfg=cfg, ch_cfg=ch_cfg)
     ch0.initialize(2)
     ch1.initialize(2)
     cls.establish(ch0, ch1)

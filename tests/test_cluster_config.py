@@ -1,5 +1,7 @@
 """Cluster assembly, configuration validation, and fabric routing."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import build_cluster
@@ -14,7 +16,7 @@ class TestHardwareConfig:
 
     def test_replace_derives_variant(self):
         cfg = HardwareConfig()
-        fast = cfg.replace(membus_bandwidth=3200 * MB)
+        fast = dataclasses.replace(cfg, membus_bandwidth=3200 * MB)
         assert fast.membus_bandwidth == 3200 * MB
         assert cfg.membus_bandwidth == 1600 * MB
         assert fast.link_bandwidth == cfg.link_bandwidth
@@ -51,7 +53,8 @@ class TestChannelConfig:
 
     def test_replace(self):
         ch = ChannelConfig()
-        ch2 = ch.replace(chunk_size=8 * KB, ring_size=64 * KB)
+        ch2 = dataclasses.replace(ch, chunk_size=8 * KB,
+                                  ring_size=64 * KB)
         assert ch2.chunk_size == 8 * KB
         assert ch.chunk_size == 16 * KB
 
@@ -113,7 +116,7 @@ class TestRunnerOptions:
     def test_custom_hardware_config_changes_results(self):
         from repro.bench.micro import mpi_latency_us
         from repro.config import US
-        slow = HardwareConfig().replace(wire_latency=5 * US)
+        slow = dataclasses.replace(HardwareConfig(), wire_latency=5 * US)
         base = mpi_latency_us(4, "piggyback", iters=20)
         slowed = mpi_latency_us(4, "piggyback", cfg=slow, iters=20)
         assert slowed > base + 4.0  # ~+4.55us extra one-way wire

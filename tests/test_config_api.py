@@ -1,15 +1,15 @@
 """The kw-only config API: positional construction refused,
-from_dict/from_env, coercion, replace, and validation."""
+immutability, ``dataclasses.replace``, and validation."""
 
+import dataclasses
 import warnings
 
 import pytest
 
 from repro.config import KB, ChannelConfig, HardwareConfig
 from repro.mpich2.channels.basic import BasicChannel
-from repro.tune import TuneConfig
 
-ALL_CONFIGS = (HardwareConfig, ChannelConfig, TuneConfig)
+ALL_CONFIGS = (HardwareConfig, ChannelConfig)
 
 
 class TestPositionalShim:
@@ -20,10 +20,9 @@ class TestPositionalShim:
         lambda: HardwareConfig(1.0),
         lambda: ChannelConfig(256 * KB, 32 * KB),
         lambda: ChannelConfig(256 * KB, regcache_capacity=8),
-        lambda: TuneConfig(True),
         lambda: BasicChannel(0, None, None),
     ], ids=["HardwareConfig", "ChannelConfig", "ChannelConfig-mixed",
-            "TuneConfig", "channel"])
+            "channel"])
     def test_positional_construction_is_type_error(self, build):
         with pytest.raises(TypeError, match="positional"):
             build()
@@ -33,67 +32,6 @@ class TestPositionalShim:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             cls()  # defaults
-            cls.from_dict({})
-            cls.from_env(env={})
-
-
-class TestFromDict:
-    def test_round_trip(self):
-        cfg = ChannelConfig.from_dict({"ring_size": 64 * KB,
-                                       "chunk_size": 8 * KB})
-        assert cfg.ring_size == 64 * KB
-        assert cfg.chunk_size == 8 * KB
-
-    def test_unknown_key_raises_listing_fields(self):
-        with pytest.raises(TypeError) as exc:
-            ChannelConfig.from_dict({"ringsize": 64 * KB})
-        msg = str(exc.value)
-        assert "ringsize" in msg
-        assert "ring_size" in msg  # valid fields are enumerated
-
-    def test_values_still_validated(self):
-        with pytest.raises(ValueError):
-            ChannelConfig.from_dict({"ring_size": 100})  # not a multiple
-
-
-class TestFromEnv:
-    def test_default_prefix_and_int_coercion(self):
-        cfg = ChannelConfig.from_env(
-            env={"REPRO_CHANNELCONFIG_RING_SIZE": "65536",
-                 "REPRO_CHANNELCONFIG_CHUNK_SIZE": "0x2000"})
-        assert cfg.ring_size == 65536
-        assert cfg.chunk_size == 0x2000  # int(raw, 0): hex accepted
-
-    def test_unset_fields_keep_defaults(self):
-        cfg = ChannelConfig.from_env(env={})
-        assert cfg == ChannelConfig()
-
-    def test_bool_and_float_coercion(self):
-        cfg = ChannelConfig.from_env(
-            env={"REPRO_CHANNELCONFIG_REGISTRATION_CACHE": "off",
-                 "REPRO_CHANNELCONFIG_TAIL_UPDATE_FRACTION": "0.5"})
-        assert cfg.registration_cache is False
-        assert cfg.tail_update_fraction == 0.5
-        on = ChannelConfig.from_env(
-            env={"REPRO_CHANNELCONFIG_REGISTRATION_CACHE": "Yes"})
-        assert on.registration_cache is True
-
-    def test_bad_bool_raises(self):
-        with pytest.raises(ValueError, match="boolean"):
-            ChannelConfig.from_env(
-                env={"REPRO_CHANNELCONFIG_REGISTRATION_CACHE": "maybe"})
-
-    def test_custom_prefix(self):
-        cfg = TuneConfig.from_env(prefix="T_",
-                                  env={"T_SAMPLE_EVERY": "32",
-                                       "T_ENABLED": "0"})
-        assert cfg.sample_every == 32
-        assert cfg.enabled is False
-
-    def test_tune_config_default_prefix(self):
-        cfg = TuneConfig.from_env(
-            env={"REPRO_TUNECONFIG_CQ_POLL_BUDGET": "2"})
-        assert cfg.cq_poll_budget == 2
 
 
 class TestReplaceAndImmutability:
@@ -106,13 +44,15 @@ class TestReplaceAndImmutability:
 
     def test_replace_returns_new_instance(self):
         base = ChannelConfig()
-        small = base.replace(ring_size=64 * KB, chunk_size=8 * KB)
+        small = dataclasses.replace(base, ring_size=64 * KB,
+                                    chunk_size=8 * KB)
         assert small.ring_size == 64 * KB
         assert base.ring_size == 128 * KB  # original untouched
 
     def test_replace_revalidates(self):
         with pytest.raises(ValueError):
-            ChannelConfig().replace(chunk_size=100 * KB)  # not a divisor
+            # not a divisor of the ring
+            dataclasses.replace(ChannelConfig(), chunk_size=100 * KB)
 
 
 class TestValidation:

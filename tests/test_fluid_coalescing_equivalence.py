@@ -27,7 +27,7 @@ probed on its own at the bottom, as is hazard (iii) (integer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi.runner import run_mpi_profiled
+from repro.mpi.runner import run_world
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidNetwork, FluidResource
 
@@ -315,7 +315,7 @@ def test_foreign_entry_at_the_wakeup_time_keeps_completion_times():
 # -- what coalescing buys, as an exact machine-independent ratio -----------
 
 def _resolves_per_transfer(nranks, prog, design):
-    _results, world = run_mpi_profiled(nranks, prog, design=design)
+    _results, world = run_world(nranks, prog, design=design)
     net = world.cluster.net
     assert net.transfers > 0
     return net.resolves / net.transfers

@@ -18,7 +18,7 @@ from repro.check import oracle
 from repro.check.differ import run_spec
 from repro.check.generate import generate_spec
 from repro.faults import FaultPlan, LinkFaults
-from repro.mpi.runner import run_mpi_profiled
+from repro.mpi.runner import run_world
 
 
 def _pattern(n, salt=0):
@@ -44,7 +44,7 @@ def _ring(mpi):
 class TestConnectionCount:
     @pytest.mark.parametrize("nranks", [4, 8, 16])
     def test_ring_materializes_one_connection_per_pair(self, nranks):
-        res, world = run_mpi_profiled(nranks, _ring, design="srq-lazy")
+        res, world = run_world(nranks, _ring, design="srq-lazy")
         assert res == list(range(nranks))
         # exactly the N ring pairs, nothing else
         assert world.connection_count() == nranks
@@ -52,8 +52,8 @@ class TestConnectionCount:
         assert connector.connects == nranks
 
     def test_eager_mesh_is_quadratic_by_contrast(self):
-        _, lazy = run_mpi_profiled(8, _ring, design="srq-lazy")
-        _, eager = run_mpi_profiled(8, _ring, design="srq")
+        _, lazy = run_world(8, _ring, design="srq-lazy")
+        _, eager = run_world(8, _ring, design="srq")
         assert eager.connection_count() == 8 * 7 // 2
         assert lazy.connection_count() == 8
         assert lazy.cluster.live_qps() < eager.cluster.live_qps()
@@ -69,7 +69,7 @@ class TestConnectionCount:
                 return bytes(data)
             return None
 
-        res, world = run_mpi_profiled(6, prog, design="srq-lazy")
+        res, world = run_world(6, prog, design="srq-lazy")
         assert res[1] == b"x" * 64
         assert world.connection_count() == 1
 
@@ -111,8 +111,8 @@ class TestFaultCompose:
                 data, _ = yield from mpi.recv(source=0, tag=3)
                 return bytes(data)
 
-        res, world = run_mpi_profiled(2, prog, design="srq-lazy",
-                                      faults=plan)
+        res, world = run_world(2, prog, design="srq-lazy",
+                               faults=plan)
         assert res[1] == _pattern(2048)
         assert world.cluster.faults.stats.dropped >= 1
         assert world.connection_count() == 1
@@ -134,4 +134,4 @@ class TestFaultCompose:
                 yield from mpi.recv(source=0, tag=0)
 
         with pytest.raises((MpiError, SimulationError)):
-            run_mpi_profiled(2, prog, design="srq-lazy", faults=plan)
+            run_world(2, prog, design="srq-lazy", faults=plan)

@@ -1,10 +1,7 @@
-"""Multi-method channel and the run profiler."""
+"""Multi-method channel, and the counters a finished world exposes."""
 
-import pytest
-
-from repro.bench.profile import profile_run
 from repro.config import KB
-from repro.mpi import run_mpi
+from repro.mpi import run_mpi, run_world
 
 
 def _exchange(mpi, n=16 * KB, rounds=5):
@@ -15,6 +12,21 @@ def _exchange(mpi, n=16 * KB, rounds=5):
     for _ in range(rounds):
         yield from mpi.Sendrecv(sbuf, partner, rbuf, partner)
     return int(rbuf.view()[0])
+
+
+def _world(nranks, design, **kw):
+    """Run the exchange; returns the finished world."""
+    _results, world = run_world(nranks, _exchange, design=design, **kw)
+    return world
+
+
+def _rdma_ops(world):
+    hca = world.stats()
+    return hca["rdma_writes"] + hca["rdma_reads"]
+
+
+def _cpu_copied(world):
+    return sum(n.membus.bytes_copied for n in world.cluster.nodes)
 
 
 class TestMultiMethod:
@@ -31,25 +43,23 @@ class TestMultiMethod:
 
     def test_intra_node_pairs_use_no_rdma(self):
         """Two ranks on one node: all traffic via shared memory."""
-        run = profile_run(2, _exchange, design="multimethod", nnodes=1)
-        assert run.hca["rdma_writes"] == 0
-        assert run.hca["rdma_reads"] == 0
-        assert run.cpu_copied_bytes > 0
+        world = _world(2, "multimethod", nnodes=1)
+        assert _rdma_ops(world) == 0
+        assert _cpu_copied(world) > 0
 
     def test_inter_node_pairs_use_rdma(self):
-        run = profile_run(2, _exchange, design="multimethod", nnodes=2)
-        assert run.hca["rdma_writes"] > 0
+        world = _world(2, "multimethod", nnodes=2)
+        assert world.stats()["rdma_writes"] > 0
 
     def test_mixed_uses_fewer_rdma_ops_than_pure_network(self):
-        mm = profile_run(4, _exchange, design="multimethod", nnodes=2)
-        zc = profile_run(4, _exchange, design="zerocopy", nnodes=2)
-        assert mm.hca["rdma_writes"] + mm.hca["rdma_reads"] < \
-            zc.hca["rdma_writes"] + zc.hca["rdma_reads"]
+        mm = _world(4, "multimethod", nnodes=2)
+        zc = _world(4, "zerocopy", nnodes=2)
+        assert _rdma_ops(mm) < _rdma_ops(zc)
 
     def test_local_exchange_faster_than_network(self):
-        mm = profile_run(2, _exchange, design="multimethod", nnodes=1)
-        zc = profile_run(2, _exchange, design="zerocopy", nnodes=2)
-        assert mm.elapsed < zc.elapsed
+        mm = _world(2, "multimethod", nnodes=1)
+        zc = _world(2, "zerocopy", nnodes=2)
+        assert mm.sim.now < zc.sim.now
 
     def test_nas_kernel_over_multimethod(self):
         from repro.nas import KERNELS
@@ -59,28 +69,33 @@ class TestMultiMethod:
 
 
 class TestProfiler:
+    """What the world's own counters explain about a run."""
+
     def test_breakdown_fields(self):
-        run = profile_run(2, _exchange, design="zerocopy")
-        assert run.elapsed > 0
-        assert run.hca["rdma_writes"] > 0
-        assert 0 <= run.bus_utilization[0] <= 1
-        assert 0 <= run.link_utilization[0] <= 1
-        assert 0 < run.cpu_busy[0] <= 1
-        assert "RDMA writes" in run.table()
+        world = _world(2, "zerocopy")
+        elapsed = world.sim.now
+        net = world.cluster.net
+        node = world.cluster.nodes[0]
+        assert elapsed > 0
+        assert world.stats()["rdma_writes"] > 0
+        assert 0 <= net.utilization(node.membus.bus, elapsed) <= 1
+        assert 0 <= net.utilization(
+            world.cluster.fabric.uplink(node.node_id), elapsed) <= 1
+        busy = world.devices[0].channel.ctx.cpu.busy_time
+        assert 0 < busy / elapsed <= 1
 
     def test_pipeline_copies_more_than_zerocopy(self):
-        """The profiler explains Fig. 11: for 64 KB messages the
+        """The counters explain Fig. 11: for 64 KB messages the
         pipelined design moves the payload through CPU copies, the
         zero-copy design does not."""
-        pipe = profile_run(2, _exchange, design="pipeline",
-                           args=(64 * KB,))
-        zc = profile_run(2, _exchange, design="zerocopy",
-                         args=(64 * KB,))
-        assert pipe.cpu_copied_bytes > 3 * zc.cpu_copied_bytes
-        assert zc.hca["rdma_reads"] > 0
-        assert pipe.hca["rdma_reads"] == 0
+        pipe = _world(2, "pipeline", args=(64 * KB,))
+        zc = _world(2, "zerocopy", args=(64 * KB,))
+        assert _cpu_copied(pipe) > 3 * _cpu_copied(zc)
+        assert zc.stats()["rdma_reads"] > 0
+        assert pipe.stats()["rdma_reads"] == 0
 
     def test_regcache_stats_surface(self):
-        run = profile_run(2, _exchange, design="zerocopy",
-                          args=(64 * KB, 6))
-        assert run.regcache_hits > run.regcache_misses
+        world = _world(2, "zerocopy", args=(64 * KB, 6))
+        caches = [dev.channel.regcache for dev in world.devices]
+        assert sum(rc.hits for rc in caches) > sum(rc.misses
+                                                   for rc in caches)

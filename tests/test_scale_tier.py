@@ -29,7 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.mpi import run_mpi_profiled
+from repro.mpi import run_world
 from repro.mpi.runner import build_world
 
 pytestmark = [pytest.mark.slow, pytest.mark.scale]
@@ -117,7 +117,7 @@ def test_scale(workload, nranks):
         # previous attempt's teardown.
         gc.collect()
         t0 = time.perf_counter()
-        results, world = run_mpi_profiled(nranks, prog, design=DESIGN)
+        results, world = run_world(nranks, prog, design=DESIGN)
         wall = time.perf_counter() - t0
         _expected(workload, nranks, results)
         digests.append(_fingerprint(results, world))
@@ -156,8 +156,8 @@ def test_scale_srq(workload, nranks):
     for attempt in range(2):
         gc.collect()
         t0 = time.perf_counter()
-        results, world = run_mpi_profiled(nranks, prog,
-                                          design=SRQ_DESIGN)
+        results, world = run_world(nranks, prog,
+                                   design=SRQ_DESIGN)
         wall = time.perf_counter() - t0
         _expected(workload, nranks, results)
         digests.append(_fingerprint(results, world))
@@ -178,8 +178,8 @@ def test_scale_srq_pinned_bytes_per_rank_flat():
     ppr = {}
     for nranks in (256, 512):
         gc.collect()
-        results, world = run_mpi_profiled(nranks, WORKLOADS["ring"],
-                                          design=SRQ_DESIGN)
+        results, world = run_world(nranks, WORKLOADS["ring"],
+                                   design=SRQ_DESIGN)
         _expected("ring", nranks, results)
         assert world.connection_count() == nranks  # O(N), not O(N^2)
         ppr[nranks] = world.cluster.pinned_bytes() / nranks

@@ -310,7 +310,7 @@ class TestFloatResolution:
         p = sim.spawn(prog())
         sim.run()
         assert p.value >= 95.0
-        assert not sim._heap or sim.peek() == float("inf")
+        assert sim.peek() == float("inf")
 
     def test_many_concurrent_small_flows_late(self):
         sim, net = make()

@@ -22,7 +22,7 @@ from helpers import get_all, make_channel_pair, put_all, run_procs
 from repro.cluster import build_cluster
 from repro.config import KB, ChannelConfig
 from repro.ib import QPError, RecvRequest, Sge
-from repro.mpi.runner import build_world, run_mpi_profiled
+from repro.mpi.runner import build_world, run_world
 
 
 def _srq_fixture(max_wr=4, slot=256):
@@ -141,8 +141,8 @@ class TestBackpressure:
                                     dest=0, tag=i)
             return None
 
-        res, world = run_mpi_profiled(3, prog, design=design,
-                                      ch_cfg=_TINY)
+        res, world = run_world(3, prog, design=design,
+                               ch_cfg=_TINY)
         pool = world.devices[0].channel._pool
         assert pool.srq.rnr_stalls > 0
         # every consumed slot was reposted: the pool refilled

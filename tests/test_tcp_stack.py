@@ -1,11 +1,8 @@
 """Kernel TCP/IPoIB stack and channel behaviour."""
 
-import pytest
-
 from repro.bench.micro import mpi_bandwidth, mpi_latency_us
-from repro.bench.profile import profile_run
 from repro.config import KB, MB
-from repro.mpi import run_mpi
+from repro.mpi import run_mpi, run_world
 
 
 class TestTcpChannel:
@@ -28,10 +25,11 @@ class TestTcpChannel:
             else:
                 yield from mpi.recv(source=0)
 
-        run = profile_run(2, prog, design="tcp")
-        assert run.hca["rdma_writes"] == 0
-        assert run.hca["rdma_reads"] == 0
-        assert run.hca["registrations"] == 0
+        _results, world = run_world(2, prog, design="tcp")
+        hca = world.stats()
+        assert hca["rdma_writes"] == 0
+        assert hca["rdma_reads"] == 0
+        assert hca["registrations"] == 0
 
     def test_window_flow_control(self):
         """A stream far larger than the 64 KB socket buffer still

@@ -1,6 +1,6 @@
 """Adaptive controller tests: determinism, hysteresis/convergence,
-the golden protocol choices for the paper's 32 KB–256 KB band, and the
-off-is-identical guarantee."""
+the golden protocol choices for the paper's 32 KB–256 KB band, and
+where the controller runs (every adaptive build, no static one)."""
 
 import pytest
 
@@ -8,12 +8,15 @@ from repro.bench.micro import _bandwidth, _pingpong
 from repro.config import ChannelConfig, HardwareConfig
 from repro.mpi.runner import build_world, run_mpi
 from repro.tune import (NULL_TUNER, PROTO_READ, PROTO_WRITE,
-                        THRESHOLD_OFF, AdaptiveController, TuneConfig)
+                        THRESHOLD_OFF, AdaptiveController)
+from repro.tune.controller import CQ_POLL_BUDGET, SAMPLE_EVERY
+
+from helpers import make_channel_pair
 
 
-def _run_bandwidth(design, size, tune=None):
+def _run_bandwidth(design, size):
     """Windowed-bandwidth world; returns (MB/s-ish value, world)."""
-    world = build_world(2, design, tune=tune)
+    world = build_world(2, design)
     procs = [world.cluster.spawn(_bandwidth(ctx, size, 16, 4, 1),
                                  f"rank{ctx.rank}")
              for ctx in world.contexts]
@@ -21,8 +24,8 @@ def _run_bandwidth(design, size, tune=None):
     return procs[0].value, world
 
 
-def _run_pingpong(design, size, tune=None):
-    world = build_world(2, design, tune=tune)
+def _run_pingpong(design, size):
+    world = build_world(2, design)
     procs = [world.cluster.spawn(_pingpong(ctx, size, 40, 8),
                                  f"rank{ctx.rank}")
              for ctx in world.contexts]
@@ -31,26 +34,49 @@ def _run_pingpong(design, size, tune=None):
 
 
 class TestOffIsIdentical:
-    """TuneConfig.off() (and no tune config at all) must leave every
-    existing design bit-for-bit untouched — same simulated timings."""
+    """The controller runs wherever ``adaptive`` is built — a world or
+    a bare channel pair — and nowhere else: static designs carry the
+    no-op tuner, so their timings never depend on it."""
 
     @pytest.mark.parametrize("design", ["zerocopy", "ch3", "pipeline"])
     def test_elapsed_identical(self, design):
+        """Static devices only *feed* their tuner, and the feeds are
+        pure bookkeeping: a live controller observing a static design
+        leaves every timing bit-for-bit untouched."""
         base, t_base = run_mpi(2, _bandwidth, design=design,
                                args=(32768, 8, 2, 1))
-        off, t_off = run_mpi(2, _bandwidth, design=design,
-                             tune=TuneConfig.off(),
-                             args=(32768, 8, 2, 1))
-        assert base[0] == off[0]
-        assert t_base == t_off
+        world = build_world(2, design)
+        for dev in world.devices:
+            dev.tuner = dev.channel.tuner = AdaptiveController(
+                rank=dev.rank, hw=dev.cfg, ch_cfg=dev.channel.ch_cfg)
+        procs = [world.cluster.spawn(_bandwidth(ctx, 32768, 8, 2, 1),
+                                     f"rank{ctx.rank}")
+                 for ctx in world.contexts]
+        world.cluster.run()
+        assert procs[0].value == base[0]
+        assert world.sim.now == t_base
+        # the controllers did see the traffic
+        assert all(dev.tuner._h_sizes.count for dev in world.devices)
 
     def test_off_channel_uses_null_tuner(self):
-        world = build_world(2, "adaptive", tune=TuneConfig.off())
-        assert world.devices[0].channel.tuner is NULL_TUNER
+        for design in ("zerocopy", "ch3", "pipeline", "srq"):
+            world = build_world(2, design)
+            assert world.devices[0].channel.tuner is NULL_TUNER
 
     def test_adaptive_default_tuner_on(self):
         world = build_world(2, "adaptive")
-        assert world.devices[0].channel.tuner.enabled
+        for dev in world.devices:
+            assert isinstance(dev.channel.tuner, AdaptiveController)
+            assert dev.tuner is dev.channel.tuner
+
+    def test_adaptive_channel_pair_is_tuned(self):
+        """The test helper builds the same adaptive channel a world
+        does: controller attached, read path disarmed, fast path on."""
+        _cluster, ch0, ch1, c01, c10 = make_channel_pair("adaptive")
+        for ch, conn in ((ch0, c01), (ch1, c10)):
+            assert isinstance(ch.tuner, AdaptiveController)
+            assert conn.zc_threshold == THRESHOLD_OFF
+            assert conn.zc_fastpath
 
 
 class TestNullTuner:
@@ -66,23 +92,9 @@ class TestNullTuner:
         NULL_TUNER.attach(1, None)
 
 
-class TestConfigValidation:
-    def test_bad_values_raise(self):
-        with pytest.raises(ValueError):
-            TuneConfig(sample_every=0)
-        with pytest.raises(ValueError):
-            TuneConfig(hysteresis=-0.1)
-        with pytest.raises(ValueError):
-            TuneConfig(min_crossover=1 << 20, max_crossover=1 << 16)
-
-    def test_off_factory(self):
-        cfg = TuneConfig.off()
-        assert not cfg.enabled
-
-
-def _controller(**tune_kw):
-    return AdaptiveController(rank=0, cfg=TuneConfig(**tune_kw),
-                              hw=HardwareConfig(), ch_cfg=ChannelConfig())
+def _controller():
+    return AdaptiveController(rank=0, hw=HardwareConfig(),
+                              ch_cfg=ChannelConfig())
 
 
 class TestHysteresis:
@@ -93,12 +105,12 @@ class TestHysteresis:
         c = _controller()
         start = c.crossover(1)
         # one window of very large messages (pushes the target up)...
-        for _ in range(c.cfg.sample_every):
+        for _ in range(SAMPLE_EVERY):
             c.on_send(1, 1 << 20, depth=4, rndv=True)
         assert c.crossover(1) == start          # pending, not applied
         assert c.decisions == []
         # ...the second confirming window moves exactly one step
-        for _ in range(c.cfg.sample_every):
+        for _ in range(SAMPLE_EVERY):
             c.on_send(1, 1 << 20, depth=4, rndv=True)
         assert c.crossover(1) == start * 2
 
@@ -106,7 +118,7 @@ class TestHysteresis:
         c = _controller()
         seen = [c.crossover(1)]
         for _w in range(8):
-            for _ in range(c.cfg.sample_every):
+            for _ in range(SAMPLE_EVERY):
                 c.on_send(1, 1 << 20, depth=4, rndv=True)
             seen.append(c.crossover(1))
         for prev, cur in zip(seen, seen[1:]):
@@ -117,12 +129,12 @@ class TestHysteresis:
         controller then never leaves."""
         c = _controller()
         for _w in range(12):
-            for _ in range(c.cfg.sample_every):
+            for _ in range(SAMPLE_EVERY):
                 c.on_send(1, 65536, depth=4, rndv=True)
         settled = c.crossover(1)
         n_decisions = len(c.decisions)
         for _w in range(12):
-            for _ in range(c.cfg.sample_every):
+            for _ in range(SAMPLE_EVERY):
                 c.on_send(1, 65536, depth=4, rndv=True)
         assert c.crossover(1) == settled
         assert len(c.decisions) == n_decisions
@@ -131,11 +143,11 @@ class TestHysteresis:
         c = _controller()
         assert c.protocol(1) == PROTO_WRITE
         # one latency-looking window: pending, not switched
-        for _ in range(c.cfg.sample_every):
+        for _ in range(SAMPLE_EVERY):
             c.on_send(1, 65536, depth=0, rndv=True)
         assert c.protocol(1) == PROTO_WRITE
         # second consecutive window: switch to READ
-        for _ in range(c.cfg.sample_every):
+        for _ in range(SAMPLE_EVERY):
             c.on_send(1, 65536, depth=0, rndv=True)
         assert c.protocol(1) == PROTO_READ
         # rndv_threshold now reports the read-path sentinel
@@ -193,15 +205,6 @@ class TestGoldenProtocolBand:
 
 class TestCqBudget:
     def test_budget_comes_from_config(self):
-        c = _controller(cq_poll_budget=4)
-        assert c.cq_budget(1) == 4
-
-    def test_device_drains_with_budget(self):
-        """The adaptive device's batched drain must not change what
-        completes — only how poll cost is charged."""
-        bw1, _ = _run_bandwidth("adaptive", 65536,
-                                tune=TuneConfig(cq_poll_budget=1))
-        bw8, _ = _run_bandwidth("adaptive", 65536,
-                                tune=TuneConfig(cq_poll_budget=8))
-        # both complete the same bytes; timings may differ slightly
-        assert bw1 > 0 and bw8 > 0
+        """The batched drain's budget is the controller's own constant,
+        whatever default the device offers."""
+        assert _controller().cq_budget(1) == CQ_POLL_BUDGET == 8

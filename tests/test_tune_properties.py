@@ -1,9 +1,10 @@
 """Property tests for the adaptive controller: under *adversarial*
 event streams (arbitrary size histograms, depths, rendezvous mixes,
-credit stalls) every knob the controller writes stays inside its
-:class:`TuneConfig` bounds, moves are power-of-two-stepped, and the
-decision log is a pure function of the event stream — replaying the
-same stream on a fresh controller reproduces it byte for byte.
+credit stalls) every knob the controller writes stays inside the
+bounds fixed in :mod:`repro.tune.controller`, moves are
+power-of-two-stepped, and the decision log is a pure function of the
+event stream — replaying the same stream on a fresh controller
+reproduces it byte for byte.
 
 These are the guarantees the conformance fuzzer leans on when it runs
 the adaptive channel in the differential matrix: a knob excursion
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.config import ChannelConfig, HardwareConfig
 from repro.tune import (PROTO_READ, PROTO_WRITE, THRESHOLD_OFF,
-                        AdaptiveController, TuneConfig)
+                        AdaptiveController)
+from repro.tune.controller import MAX_CROSSOVER, MIN_CROSSOVER
 
 
 class _FakeReceiver:
@@ -50,26 +52,12 @@ _events = st.lists(
               st.booleans()),
     min_size=1, max_size=400)
 
-_tune_cfgs = st.builds(
-    TuneConfig,
-    sample_every=st.sampled_from([1, 2, 7, 16]),
-    hysteresis=st.floats(min_value=0.0, max_value=0.9),
-    streaming_depth=st.integers(min_value=1, max_value=4),
-    min_crossover=st.sampled_from([1024, 4096, 16384]),
-    max_crossover=st.sampled_from([65536, 262144, 1 << 20]),
-    coalesce_credits=st.booleans(),
-    tune_crossover=st.booleans(),
-    tune_protocol=st.booleans(),
-    tune_chunk=st.booleans(),
-)
 
-
-def _drive(cfg: TuneConfig, events):
+def _drive(events):
     """Build a controller, attach fake connections, replay the event
     stream; returns (controller, {peer: conn})."""
-    ch_cfg = ChannelConfig()
-    c = AdaptiveController(rank=0, cfg=cfg, hw=HardwareConfig(),
-                           ch_cfg=ch_cfg)
+    c = AdaptiveController(rank=0, hw=HardwareConfig(),
+                           ch_cfg=ChannelConfig())
     conns = {}
     for peer in (1, 2, 3):
         conns[peer] = _FakeConn()
@@ -88,19 +76,19 @@ def _drive(cfg: TuneConfig, events):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cfg=_tune_cfgs, events=_events)
-def test_knobs_stay_within_bounds(cfg, events):
-    c, conns = _drive(cfg, events)
+@given(events=_events)
+def test_knobs_stay_within_bounds(events):
+    c, conns = _drive(events)
     ch_cfg = c.ch_cfg
     for peer, conn in conns.items():
         # crossover clamped to the configured band
-        assert cfg.min_crossover <= c.crossover(peer) <= cfg.max_crossover
+        assert MIN_CROSSOVER <= c.crossover(peer) <= MAX_CROSSOVER
         # protocol is one of the two legal values
         assert c.protocol(peer) in (PROTO_WRITE, PROTO_READ)
         # the channel zero-copy threshold is either disarmed or the
         # (in-band) crossover
         assert conn.zc_threshold == THRESHOLD_OFF or (
-            cfg.min_crossover <= conn.zc_threshold <= cfg.max_crossover)
+            MIN_CROSSOVER <= conn.zc_threshold <= MAX_CROSSOVER)
         # the soft chunk cap, when set, is a real cap: at least the
         # 2 KB floor and strictly below the configured chunk size
         soft = conn.soft_max_payload
@@ -112,42 +100,40 @@ def test_knobs_stay_within_bounds(cfg, events):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cfg=_tune_cfgs, events=_events)
-def test_rndv_threshold_query_is_consistent(cfg, events):
-    c, _conns = _drive(cfg, events)
+@given(events=_events)
+def test_rndv_threshold_query_is_consistent(events):
+    c, _conns = _drive(events)
     for peer in (1, 2, 3):
         got = c.rndv_threshold(peer, 32768)
         if c.protocol(peer) is not PROTO_WRITE:
             assert got == THRESHOLD_OFF
-        elif cfg.tune_crossover:
-            assert got == c.crossover(peer)
         else:
-            assert got == 32768
+            assert got == c.crossover(peer)
 
 
 @settings(max_examples=40, deadline=None)
-@given(cfg=_tune_cfgs, events=_events)
-def test_crossover_moves_one_pow2_step(cfg, events):
+@given(events=_events)
+def test_crossover_moves_one_pow2_step(events):
     """Every crossover decision in the log is exactly one doubling or
     halving of the previous value (clamped at the band edges)."""
-    c, _conns = _drive(cfg, events)
+    c, _conns = _drive(events)
     for _seq, _peer, knob, old, new in c.decisions:
         if knob != "crossover":
             continue
         assert new != old
         assert new in (
-            min(old * 2, cfg.max_crossover),
-            max(old // 2, cfg.min_crossover))
+            min(old * 2, MAX_CROSSOVER),
+            max(old // 2, MIN_CROSSOVER))
 
 
 @settings(max_examples=40, deadline=None)
-@given(cfg=_tune_cfgs, events=_events)
-def test_decision_log_is_deterministic(cfg, events):
+@given(events=_events)
+def test_decision_log_is_deterministic(events):
     """Replaying the identical event stream on a fresh controller
     reproduces the decision log and every final knob, byte for byte
     — the property the conformance harness's seeded replays rely on."""
-    a, conns_a = _drive(cfg, events)
-    b, conns_b = _drive(cfg, events)
+    a, conns_a = _drive(events)
+    b, conns_b = _drive(events)
     assert a.decisions == b.decisions
     for peer in (1, 2, 3):
         assert a.crossover(peer) == b.crossover(peer)
@@ -160,27 +146,10 @@ def test_decision_log_is_deterministic(cfg, events):
 
 
 @settings(max_examples=40, deadline=None)
-@given(cfg=_tune_cfgs, events=_events)
-def test_decision_seq_is_monotone(cfg, events):
+@given(events=_events)
+def test_decision_seq_is_monotone(events):
     """Decision records carry a nondecreasing event sequence, so the
     log reads as a causal timeline."""
-    c, _conns = _drive(cfg, events)
+    c, _conns = _drive(events)
     seqs = [d[0] for d in c.decisions]
     assert seqs == sorted(seqs)
-
-
-@settings(max_examples=25, deadline=None)
-@given(events=_events)
-def test_disabled_knobs_never_move(events):
-    """With every tuning dimension switched off the controller still
-    samples windows but writes nothing."""
-    cfg = TuneConfig(tune_crossover=False, tune_protocol=False,
-                     tune_chunk=False, coalesce_credits=False)
-    c, conns = _drive(cfg, events)
-    assert c.decisions == []
-    for peer, conn in conns.items():
-        assert c.protocol(peer) == PROTO_WRITE
-        # attach disarms the read path; nothing may re-arm it
-        assert conn.zc_threshold == THRESHOLD_OFF
-        assert conn.soft_max_payload is None
-        assert conn.receiver.credit_threshold == 2
