@@ -50,8 +50,8 @@ under recovery; and recovery carries ``bytes`` (CRC, ``faults.corrupt``)
 where fault-free keeps the gathered ndarray.  One difference *is*
 drift and is pinned, not fixed, here: a read or atomic with a bad
 remote key is refused after the request leg fault-free and up front
-under recovery (``tests/test_hca_transport_digest.py``; ROADMAP item
-4 closes it).
+under recovery (``tests/test_hca_transport_digest.py``; the ROADMAP
+item "The RC transport as a checked state machine" closes it).
 
 Simulation shortcut (semantics-preserving): instead of spin-polling
 loops generating millions of events, inbound placements open the HCA's

@@ -389,10 +389,15 @@ class ChunkedChannel(RdmaChannel):
     # ------------------------------------------------------------------
     def get(self, conn: ChunkedConnection, iov: Sequence[Buffer]
             ) -> Generator[None, None, int]:
-        cur = IovCursor(iov)
         if self._zc_check_get(conn):
             yield from self.ctx.cpu.work(
                 self.cfg.zerocopy_check_cpu / 2)
+        # the empty poll: no read in flight, no chunk, no credit owed —
+        # the body below would return 0 without a yield or a side effect
+        if (conn.zc_read is None and not conn.receiver.ready()
+                and not conn.receiver.credit_due()):
+            return 0
+        cur = IovCursor(iov)
 
         # 1. an in-flight RDMA read gates the stream head
         if conn.zc_read is not None:

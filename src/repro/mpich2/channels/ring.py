@@ -34,6 +34,8 @@ from __future__ import annotations
 import struct
 from typing import Generator, Optional, Tuple
 
+import numpy as np
+
 from ...hw.memory import Buffer
 from ...ib.mr import MemoryRegion
 from ...ib.types import WorkRequest
@@ -56,6 +58,9 @@ KIND_CREDIT = 4
 #: destination buffer — the sender must fall back to streaming the
 #: advertised element through the ring (aux = the refused op id).
 KIND_NAK = 5
+
+#: the header after its leading flag: kind, payload length, credit, aux
+_HDR = struct.Struct("<BHQI")
 
 _RTS_FMT = "<QQQ"  # addr, size, rkey
 RTS_PAYLOAD = struct.calcsize(_RTS_FMT)
@@ -167,6 +172,9 @@ class RingReceiver(CreditReturn):
         #: bytes of the current chunk's payload already delivered
         self.payload_off = 0
         self.chunks_received = 0
+        #: the ring's bytes, viewed once on first poll (rings are never
+        #: freed, so the view stays valid)
+        self._ring_view: Optional[np.ndarray] = None
         m = metrics if metrics is not None else NULL_METRICS
         self._m_chunks_received = m.counter("chunks_received")
         # explicit tail updates (§4.3's "extra message") go into the
@@ -174,22 +182,30 @@ class RingReceiver(CreditReturn):
         super().__init__(ctx, qp, tail, credit_threshold,
                          m.counter("explicit_tail_updates"), piggybacked)
 
+    def ready(self) -> bool:
+        """Whether the next chunk has fully arrived (``peek() is not
+        None``): its two polling flags only — no header unpacking, no
+        shadow hook."""
+        view = self._ring_view
+        if view is None:
+            view = self._ring_view = self.ring.view()
+        base = self.next_chunk % self.nslots * self.chunk_size
+        seq = seq_of(self.next_chunk)
+        if view[base] != seq:
+            return False
+        # header landed, trailer maybe not yet (torn write)
+        payload_len = int(view[base + 2]) | int(view[base + 3]) << 8
+        return bool(view[base + HDR_SIZE + payload_len] == seq)
+
     def peek(self) -> Optional[Tuple[int, int, int, int]]:
         """If the next chunk has fully arrived, return
         (kind, payload_len, credit, aux) without consuming it."""
-        slot = self.next_chunk % self.nslots
-        base = slot * self.chunk_size
-        seq = seq_of(self.next_chunk)
-        view = self.ring.view()
-        if view[base] != seq:
+        if not self.ready():
             return None
-        payload_len = struct.unpack("<H",
-                                    bytes(view[base + 2:base + 4]))[0]
-        if view[base + HDR_SIZE + payload_len] != seq:
-            return None  # header landed, trailer not yet (torn write)
-        kind = int(view[base + 1])
-        credit = struct.unpack("<Q", bytes(view[base + 4:base + 12]))[0]
-        aux = struct.unpack("<I", bytes(view[base + 12:base + 16]))[0]
+        view = self._ring_view
+        assert view is not None  # taken by ready()
+        base = self.next_chunk % self.nslots * self.chunk_size
+        kind, payload_len, credit, aux = _HDR.unpack_from(view, base + 1)
         shadow = getattr(self.ctx.hca, "shadow", None)
         if shadow is not None:
             shadow.on_ring_consume(

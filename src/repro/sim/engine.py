@@ -35,6 +35,13 @@ implementation and is locked down by ``tests/test_sim_equivalence.py``:
   priority from ``random.Random(tie_seed)`` and same-time events run
   in ``(prio, seq)`` order.  Bucket entries form a per-bucket heap.
 
+A timeout is two entries — its firing, then one wakeup per callback —
+except where the second cannot be told apart from running the callback
+in place: under the FIFO policy, a timeout that is the last entry of
+the bucket being drained and has exactly one callback runs it at once
+(still counting it in ``events_processed``).  Seeded drains and
+``step()`` keep both entries.
+
 Cancelled callbacks (e.g. the HCA's ack-timeout timers, the fluid
 network's completion wakeups) are reaped lazily; when more than half
 of the queued entries are dead the queue compacts itself, so a
@@ -185,7 +192,7 @@ class Timeout(Event):
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(sim)
         self.delay = delay
-        sim._schedule_at(sim.now + delay, self._fire, value)
+        sim._enqueue(sim.now + delay, _TIMER, Timeout._fire, (self, value))
 
     def _fire(self, value: Any) -> None:
         self.succeed(value)
@@ -205,7 +212,7 @@ class Process(Event):
         self.gen = gen
         # lint: allow(falsy-or-default, empty name means auto-name)
         self.name = name or getattr(gen, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
+        self._waiting_on: Optional[Event] = _InitialEvent(sim)
         #: daemon processes (hardware service loops) do not count as
         #: live work for deadlock detection.
         self.daemon = daemon
@@ -214,7 +221,7 @@ class Process(Event):
             sim._live_processes += 1
             self._live_key = next(sim._live_seq)
             sim._live[self._live_key] = self
-        sim._schedule_call(self._resume, _InitialEvent(sim))
+        sim._schedule_call(self._resume, self._waiting_on)
 
     @property
     def is_alive(self) -> bool:
@@ -229,7 +236,9 @@ class Process(Event):
 
     # -- internals -----------------------------------------------------
     def _resume(self, event: "Event") -> None:
-        if self.triggered:
+        # an interrupt leaves this callback on the event it cut short;
+        # only the event the process is waiting on may wake it
+        if self.triggered or event is not self._waiting_on:
             return
         self._waiting_on = None
         try:
@@ -248,6 +257,7 @@ class Process(Event):
     def _throw(self, exc: BaseException) -> None:
         if self.triggered:
             return
+        self._waiting_on = None
         try:
             target = self.gen.throw(exc)
         except StopIteration as stop:
@@ -350,7 +360,7 @@ class _Handle:
 
     __slots__ = ("cancelled", "_queued", "_sim")
 
-    def __init__(self, sim: "Simulator") -> None:
+    def __init__(self, sim: Optional["Simulator"]) -> None:
         self.cancelled = False
         #: still sitting in a bucket (reset when dequeued or reaped)
         self._queued = True
@@ -359,8 +369,15 @@ class _Handle:
     def cancel(self) -> None:
         if not self.cancelled:
             self.cancelled = True
-            if self._queued:
+            if self._queued and self._sim is not None:
                 self._sim._note_cancel()
+
+
+#: shared handles of entries nobody holds and so nobody can cancel:
+#: event callbacks and process starts (``_CALL``) and timeout firings
+#: (``_TIMER``, kept apart so the FIFO drain can recognise them)
+_CALL = _Handle(None)
+_TIMER = _Handle(None)
 
 
 class Simulator:
@@ -426,12 +443,8 @@ class Simulator:
         self._settle: List[Callable[[], None]] = []
 
     # -- scheduling primitives ------------------------------------------
-    def _schedule_at(self, when: float, fn: Callable, *args: Any) -> _Handle:
-        if when < self.now:
-            raise SimulationError(
-                f"cannot schedule in the past ({when} < {self.now})"
-            )
-        handle = _Handle(self)
+    def _enqueue(self, when: float, handle: _Handle, fn: Callable,
+                 args: tuple) -> None:
         bucket = self._buckets.get(when)
         if self._tie_rng is None:
             # FIFO bucket: append order == the historical (when, seq)
@@ -450,12 +463,20 @@ class Simulator:
             else:
                 heapq.heappush(bucket, entry)
         self._pending_events += 1
+
+    def _schedule_at(self, when: float, fn: Callable, *args: Any) -> _Handle:
+        if when < self.now:
+            raise SimulationError(
+                f"cannot schedule in the past ({when} < {self.now})"
+            )
+        handle = _Handle(self)
+        self._enqueue(when, handle, fn, args)
         return handle
 
-    def _schedule_call(self, fn: Callable, *args: Any) -> _Handle:
+    def _schedule_call(self, fn: Callable, *args: Any) -> None:
         """Schedule ``fn`` to run at the current time (after the
-        currently-running callback finishes)."""
-        return self._schedule_at(self.now, fn, *args)
+        currently-running callback finishes); not cancellable."""
+        self._enqueue(self.now, _CALL, fn, args)
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> _Handle:
         """Public: run ``fn(*args)`` at absolute time ``when``."""
@@ -625,8 +646,14 @@ class Simulator:
 
     def _drain_fifo(self, t: float, bucket: List) -> None:
         """Bulk-dequeue every entry scheduled at ``t``, including ones
-        appended while draining, in insertion order."""
+        appended while draining, in insertion order.
+
+        A timeout firing as the bucket's last entry, with exactly one
+        callback, runs that callback at once: the entry its trigger
+        would append could only be the next one dequeued, and nobody
+        holds its handle to cancel it (docs/SIMULATOR.md)."""
         crashed = self._crashed
+        timer = _TIMER
         self._drain_bucket = bucket
         i = 0
         try:
@@ -640,6 +667,17 @@ class Simulator:
                     continue
                 self.now = t
                 self.events_processed += 1
+                if handle is timer and i == len(bucket):
+                    ev, value = args
+                    callbacks = ev._callbacks
+                    if callbacks is not None and len(callbacks) == 1:
+                        ev.triggered = True
+                        ev._ok = True
+                        ev._value = value
+                        ev._callbacks = None
+                        self.events_processed += 1
+                        fn = callbacks[0]
+                        args = (ev,)
                 fn(*args)
                 if crashed:
                     proc, exc = crashed[0]

@@ -66,7 +66,7 @@ per re-solve from the size of the active set
 The two are bit-for-bit equivalent (``==`` on every rate and
 completion time, ``tests/test_fluid_vector_equivalence.py``), so
 simulated physics cannot depend on which one ran.  Equivalence rests
-on three facts, each locked down by tests:
+on four facts, each locked down by tests:
 
 * elementwise array arithmetic performs the same IEEE-754 operations
   the scalar loop performed per resource, in an order-insensitive
@@ -77,8 +77,13 @@ on three facts, each locked down by tests:
   picks the same resource; near-ties inside the epsilon band fall back
   to an exact replica of the scalar fold;
 * in-practice cost weights are small integers, so regrouped sums are
-  exact; non-integer weights take a scalar accumulation path that
-  preserves the fold's operation order.
+  exact; non-integer weights accumulate per route entry, in the fold's
+  operation order;
+* a resource whose weight drops to ``_EPS`` is one the fold never
+  reads again, so the solver may park it at residual ``inf`` and
+  weight 1.0: its quotient is ``inf`` and the minimum never lands on
+  it while any live column remains (docs/SIMULATOR.md has the
+  argument, and why the ``np.maximum`` clamp never sees ``-0.0``).
 """
 
 from __future__ import annotations
@@ -346,147 +351,107 @@ class FluidNetwork:
         :meth:`_alloc_scalar` (see the module docstring for the
         equivalence argument)."""
         active = self._active
-        n = len(active)
         # Column order = first appearance scanning active flows in
         # order — exactly the legacy weight-dict insertion order, so
         # index-based tie-breaks match the dict-iteration tie-breaks.
-        # With all-integer costs (the overwhelmingly common case), the
-        # scan does one dict probe and one list-index add per pair and
-        # nothing else: the reverse map from a bottleneck column to
-        # its crossing flows already exists as ``res.flows``, and a
-        # flow's own columns resolve through ``col_of`` at freeze
-        # time.  Non-integer costs fall back to per-column flow lists
-        # so the freeze order (ascending flow position, pairs in
-        # _pairs order) replicates the legacy rounding exactly.
+        # A bottleneck freezes its crossers in ``res.flows`` order,
+        # which is ascending position (transfer() and _detach() keep
+        # both lists in step), the legacy order.  Integer costs make
+        # every weight sum exact, so weights add up per summed pair;
+        # non-integer costs add up per route entry, the legacy rounding.
         all_int = all(f._int_costs for f in active)
         col_of: Dict[int, int] = {}
         cap: List[float] = []
+        #: unfixed cost weight per column; a dead column (weight at
+        #: most _EPS) holds 1.0 against a residual of inf, so its
+        #: ``residual / w`` is inf without a mask
         wl: List[float] = []
-        res_of_col: List[FluidResource] = []
-        col_flows: List[List[int]] = []
+        col_flows: List[List[Flow]] = []
         get_col = col_of.get
         for fi, flow in enumerate(active):
             flow.rate = 0.0
             flow._idx = fi
-            if all_int:
-                for uid, cost, res in flow._scan:
-                    j = get_col(uid)
-                    if j is None:
-                        j = len(cap)
-                        col_of[uid] = j
-                        cap.append(res.capacity)
-                        wl.append(0.0)
-                        res_of_col.append(res)
+            for uid, cost, res in flow._scan:
+                j = get_col(uid)
+                if j is None:
+                    j = col_of[uid] = len(cap)
+                    cap.append(res.capacity)
+                    wl.append(0.0)
+                    col_flows.append(res.flows)
+                if all_int:
                     wl[j] += cost
-            else:
-                for uid, cost, res in flow._scan:
-                    j = get_col(uid)
-                    if j is None:
-                        j = len(cap)
-                        col_of[uid] = j
-                        cap.append(res.capacity)
-                        wl.append(0.0)
-                        res_of_col.append(res)
-                        col_flows.append([])
-                    col_flows[j].append(fi)
-        m = len(cap)
-        residual = np.array(cap, dtype=np.float64)
-        if not all_int:
-            # non-integer weights: replicate the legacy per-route-entry
-            # accumulation order so rounding matches bitwise.  (With
-            # all-integer costs every partial sum is exact, so the
-            # per-pair accumulation above is already identical.)
-            wl = [0.0] * m
-            for flow in active:
+            if not all_int:
                 for res, cost in flow.route:
                     wl[col_of[res.uid]] += cost
-        w = np.array(wl, dtype=np.float64)
-
-        def freeze_col(j: int, level: float) -> int:
-            """Freeze every unfixed flow crossing column j at
-            ``level``; returns how many froze.  Integer costs make
-            the weight subtractions exact, so the ``res.flows``
-            membership order is as good as the legacy ascending scan;
-            non-integer costs take the order-preserving path."""
-            froze = 0
-            if all_int:
-                for flow in res_of_col[j].flows:
-                    fi = flow._idx
-                    if not unfixed[fi]:
-                        continue
-                    flow.rate = level
-                    unfixed[fi] = False
-                    froze += 1
-                    for uid, c, _res in flow._scan:
-                        w[col_of[uid]] -= c
-            else:
-                for fi in col_flows[j]:
-                    if not unfixed[fi]:
-                        continue
-                    flow = active[fi]
-                    flow.rate = level
-                    unfixed[fi] = False
-                    froze += 1
-                    for uid, c, _res in flow._scan:
-                        w[col_of[uid]] -= c
-            return froze
-
         inf = float("inf")
+        residual = np.array(cap)
+        if min(wl) <= _EPS:  # costs too small to ever bind
+            for j, x in enumerate(wl):
+                if x <= _EPS:
+                    wl[j], residual[j] = 1.0, inf
+
         level = 0.0
-        unfixed = [True] * n
-        n_unfixed = n
+        unfixed = [True] * len(active)
+        n_unfixed = len(active)
         while n_unfixed:
-            wmask = w > _EPS
-            if not wmask.any():
+            w = np.fromiter(wl, float, len(wl))
+            d = residual / w
+            j0 = int(d.argmin())
+            dmin = float(d[j0])
+            if dmin == inf:
                 # No constraining resource left (shouldn't happen since
                 # every flow crosses at least one resource).
-                for fi in range(n):
-                    if unfixed[fi]:
-                        active[fi].rate = inf
+                for flow in active:
+                    if unfixed[flow._idx]:
+                        flow.rate = inf
                 break
-            d = np.divide(residual, w, out=np.full(m, inf), where=wmask)
-            dmin = d.min()
             # Near-ties within the hysteresis band make the selection
             # depend on the legacy fold's scan history; outside the
-            # band, first-occurrence argmin is provably identical.
-            straggler = bool(((d > dmin) & (d <= dmin + _EPS)).any())
-            if not straggler and dmin == 0.0:
-                # Zero-cascade: every saturated column freezes its
-                # crossers at the current level in one pass.  A zero
-                # delta leaves `level` and every residual bitwise
-                # unchanged, so this equals the legacy
-                # one-column-per-iteration sequence.
-                for j in np.nonzero((residual == 0.0) & wmask)[0]:
-                    j = int(j)
-                    if w[j] <= _EPS:
-                        continue
-                    n_unfixed -= freeze_col(j, level)
-                    w[j] = 0.0
-                continue
-            if straggler:
-                # exact replica of the legacy hysteresis fold
+            # band, first-occurrence argmin is provably identical.  A
+            # band narrower than one ulp of dmin holds nothing.
+            if dmin + _EPS != dmin and (np.count_nonzero(d <= dmin + _EPS)
+                                        > np.count_nonzero(d == dmin)):
+                # exact replica of the legacy hysteresis fold (a dead
+                # column's inf is never picked)
                 best = inf
                 sel = -1
-                for j in range(m):
-                    if w[j] <= _EPS:
-                        continue
-                    delta = float(residual[j]) / float(w[j])
+                for j, delta in enumerate(d.tolist()):
                     if delta < best - _EPS or (
                         delta < best + _EPS and sel < 0
                     ):
                         best = delta
                         sel = j
-                j0 = sel
-                best_delta = best
+                cols, dmin = [sel], best
+            elif dmin == 0.0:
+                # Zero-cascade: every saturated column freezes its
+                # crossers at the current level in one pass, which
+                # equals the legacy one-column-per-iteration sequence.
+                cols = (d == 0.0).nonzero()[0].tolist()
             else:
-                j0 = int(np.argmin(d))
-                best_delta = float(dmin)
-            level += best_delta
-            # residual update uses pre-freeze weights (legacy order)
-            residual -= w * best_delta
-            residual[residual < 0.0] = 0.0
-            n_unfixed -= freeze_col(j0, level)
-            w[j0] = 0.0
+                cols = [j0]
+            if dmin:  # a zero step leaves everything bitwise unchanged
+                level += dmin
+                # residual update uses pre-freeze weights (legacy order)
+                residual -= w * dmin
+                np.maximum(residual, 0.0, out=residual)
+            for j in cols:
+                if residual[j] == inf:
+                    continue  # retired earlier in this cascade
+                for flow in col_flows[j]:
+                    fi = flow._idx
+                    if not unfixed[fi]:
+                        continue
+                    flow.rate = level
+                    unfixed[fi] = False
+                    n_unfixed -= 1
+                    for uid, c, _res in flow._scan:
+                        k = col_of[uid]
+                        x = wl[k] - c
+                        if x > _EPS:
+                            wl[k] = x
+                        else:
+                            wl[k], residual[k] = 1.0, inf
+                wl[j], residual[j] = 1.0, inf
 
     # -- scalar fold -------------------------------------------------------
     def _alloc_scalar(self) -> None:

@@ -3,6 +3,7 @@ plus design-specific behaviour (operation counts, zero-copy engagement,
 credits)."""
 
 import os
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from repro.config import KB, ChannelConfig
 from repro.hw.memory import Buffer
 from repro.mpich2.channels import ChannelError, ShmChannel
+from repro.mpich2.channels.ring import HDR_SIZE, KIND_DATA, seq_of
 from repro.mpich2.designs import DESIGNS
 
 from helpers import get_all, make_channel_pair, put_all, run_procs
@@ -226,6 +228,77 @@ class TestDesignSpecific:
                        ch_cfg=ch_cfg)
         with pytest.raises(ChannelError):
             ShmChannel.establish(a, b)
+
+
+class TestRingPoll:
+    """``RingReceiver.ready()`` is ``peek() is not None`` on every slot
+    state: the empty get returns early on it, so any disagreement
+    would drop or stall a chunk."""
+
+    def _receiver(self):
+        cluster, _ch0, _ch1, c01, c10 = make_channel_pair("piggyback")
+        self.cluster, self.sender = cluster, c01.sender
+        return c10.receiver
+
+    def _land(self, recv, index, plen=5, header=True, trailer=True,
+              aux=3):
+        """RDMA-write chunk ``index`` into its slot — without its
+        header (and payload) or without its trailer for a torn write."""
+        sender = self.sender
+        base = index % recv.nslots * recv.chunk_size
+        seq = seq_of(index)
+        sender.staging.sub(base, HDR_SIZE).write(
+            struct.pack("<BBHQI", seq, KIND_DATA, plen, 7, aux))
+        sender.staging.sub(base + HDR_SIZE + plen, 1).write(bytes([seq]))
+        start = base if header else base + HDR_SIZE + plen
+        end = base + HDR_SIZE + plen + (1 if trailer else 0)
+
+        def write():
+            yield from sender.ctx.rdma_write(
+                sender.qp, [(sender.staging.addr + start, end - start,
+                             sender.staging_mr.lkey)],
+                sender.remote_base + start, sender.remote_rkey)
+
+        run_procs(self.cluster, write())
+
+    def _agree(self, recv) -> bool:
+        ready = recv.ready()
+        assert ready == (recv.peek() is not None)
+        return ready
+
+    def test_empty_slot(self):
+        assert not self._agree(self._receiver())
+
+    @pytest.mark.parametrize("part", ["header", "trailer"])
+    def test_torn_slot(self, part):
+        recv = self._receiver()
+        assert not self._agree(recv)  # the view is cached from here on
+        self._land(recv, 0, **{part: False})
+        assert not self._agree(recv)
+
+    def test_full_slots(self):
+        recv = self._receiver()
+        assert not self._agree(recv)
+        plens = [0, 5, recv.chunk_size - HDR_SIZE - 1]
+        for i in range(recv.nslots):
+            self._land(recv, i, plen=plens[i % 3], aux=i)
+        for i in range(recv.nslots):
+            assert self._agree(recv)
+            assert recv.peek() == (KIND_DATA, plens[i % 3], 7, i)
+            recv.consume_chunk()
+        # every slot holds the previous generation now
+        assert not self._agree(recv)
+
+    def test_wrapped_slot(self):
+        recv = self._receiver()
+        stale, fresh = 1, 1 + recv.nslots  # one slot, two generations
+        self._land(recv, stale, plen=9)
+        recv.next_chunk = fresh
+        assert not self._agree(recv)
+        self._land(recv, fresh, plen=9, trailer=False)
+        assert not self._agree(recv)
+        self._land(recv, fresh, plen=9)
+        assert self._agree(recv)
 
 
 class TestPipeProperty:

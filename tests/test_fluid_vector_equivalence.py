@@ -14,14 +14,21 @@ scheduled simulations, each pinned to one allocator by moving the
 cutover to 0 (always vector) or out of reach (always scalar), and
 compares every completion time and every intermediate rate with
 ``==``.
+
+It also hands both allocators the sets a 64-node collective builds —
+~30 DMA and memcpy flows over memory buses, PCI and links — at real
+capacities (shared bottlenecks saturating together: zero cascades) and
+at capacities so small that near-ties decide every step (the straggler
+fold), with integer and non-integer costs.
 """
 
 import contextlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.config import HardwareConfig
 from repro.sim import fluid
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidNetwork, FluidResource
@@ -143,6 +150,92 @@ def test_dispatch_follows_active_set_size(alloc_calls):
     assert alloc_calls == (
         [("_alloc_vector", n) for n in (cut + 3, cut + 2, cut + 1)]
         + [("_alloc_scalar", n) for n in range(cut, 0, -1)])
+
+
+# ---------------------------------------------------------------------
+# Shaped sets: what a 64-node collective hands the vector solver
+# ---------------------------------------------------------------------
+
+NODES = 64
+HW = HardwareConfig()
+
+
+def _shaped(flows, scale):
+    """A 64-node cluster's fluid resources (memory bus, PCI, link up
+    and down per node; capacities times ``scale``) carrying ``flows``,
+    each ``("dma", src, dst, nbytes, bus_cost)`` along the HCA's DMA
+    route or ``("copy", node, nbytes, cost)`` on one memory bus."""
+    net = FluidNetwork(Simulator())
+    made = {}
+
+    def res(kind, node, cap):
+        if (kind, node) not in made:
+            made[kind, node] = FluidResource(f"{kind}[{node}]", cap * scale)
+        return made[kind, node]
+
+    for flow in flows:
+        if flow[0] == "dma":
+            _kind, src, dst, nbytes, bus = flow
+            route = [(res("bus", src, HW.membus_bandwidth), bus),
+                     (res("pci", src, HW.pci_dma_bandwidth), 1.0),
+                     (res("up", src, HW.link_bandwidth), 1.0),
+                     (res("down", dst, HW.link_bandwidth), 1.0),
+                     (res("pci", dst, HW.pci_dma_bandwidth), 1.0),
+                     (res("bus", dst, HW.membus_bandwidth), bus)]
+        else:
+            _kind, node, nbytes, cost = flow
+            route = [(res("bus", node, HW.membus_bandwidth), cost)]
+        net.transfer(nbytes, route)
+    return net
+
+
+def _alltoall_group():
+    """One 8-rank group of the collective's Alltoall, mid-exchange:
+    each rank's DMA to its ring neighbour and its ring-buffer copy,
+    plus the uncached copies of the ranks still packing."""
+    ranks = list(range(0, NODES, 8))
+    flows = []
+    for k, rank in enumerate(ranks):
+        flows.append(("dma", rank, ranks[k - 1], 4096.0, 1.0))
+        flows.append(("copy", rank, 4096.0, 2.0))
+        flows.append(("copy", rank, 7039.999999999952, 3.0))
+    return flows + [("dma", r, (r + 1) % NODES, 65536.0, 1.0)
+                    for r in range(0, NODES, 11)]
+
+
+@st.composite
+def _shaped_sets(draw):
+    # half the sets stay inside one 8-rank group, so bottlenecks are
+    # shared and saturate together (zero cascades)
+    span = draw(st.sampled_from([8, NODES]))
+    node = st.integers(min_value=0, max_value=span - 1).map(
+        lambda k: k * (NODES // span))
+    size = st.sampled_from([32.0, 4096.0, 7039.999999999952, 65536.0])
+    # the stack's integer costs, or non-dyadic ones (1.1, 2.3) whose
+    # sums round, so accumulation order shows in the last bit
+    cost = st.sampled_from(draw(st.sampled_from(
+        [[1.0, 2.0, 3.0], [1.0, 1.1, 1.5, 2.0, 2.3, 3.0]])))
+    flow = st.one_of(st.tuples(st.just("dma"), node, node, size, cost),
+                     st.tuples(st.just("copy"), node, size, cost))
+    return draw(st.lists(flow, min_size=20, max_size=36))
+
+
+#: capacities scaled down until every filling step is within _EPS of
+#: the next: near-ties everywhere, so the straggler fold decides
+TINY = 1e-24
+
+
+@settings(max_examples=250, deadline=None)
+@given(flows=_shaped_sets(), scale=st.sampled_from([1.0, TINY]))
+@example(flows=_alltoall_group(), scale=1.0)
+@example(flows=_alltoall_group(), scale=TINY)
+def test_shaped_sets(flows, scale):
+    net = _shaped(flows, scale)
+    net._alloc_vector()
+    vector = [f.rate for f in net._active]
+    net._alloc_scalar()
+    assert vector == [f.rate for f in net._active]
+    assert all(type(rate) is float for rate in vector)
 
 
 def test_shared_bottleneck_exact_split():

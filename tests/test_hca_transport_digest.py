@@ -29,9 +29,9 @@ Deliberate asymmetries between the transports, visible below:
 * a bad-rkey RDMA read completes ``REM_ACCESS_ERR`` after the request
   leg fault-free (``2.9999999999999997e-06``) and up front under any
   link-fault plan (``2.5499999999999997e-06``).  That one is drift, not
-  design — pinned here as it is; ROADMAP item 4 (the design x fault
-  matrix) is where it gets closed and this constant deliberately
-  re-recorded.
+  design — pinned here as it is; the ROADMAP item "The RC transport as
+  a checked state machine" is where it gets closed and this constant
+  deliberately re-recorded.
 """
 
 import hashlib

@@ -237,6 +237,29 @@ class TestProcess:
         sim.run()
         assert p.value == ("interrupted", "because", 5.0)
 
+    def test_interrupted_process_waits_again(self):
+        """Regression: the event an interrupt cut short used to wake
+        the process again when it fired, whatever it waited on by
+        then (here at 100.0 instead of 205.0)."""
+        sim = Simulator()
+
+        def sleeper():
+            try:
+                yield sim.timeout(100)
+            except Interrupt:
+                pass
+            yield sim.timeout(200)
+            return sim.now
+
+        def interrupter(target):
+            yield sim.timeout(5)
+            target.interrupt()
+
+        p = sim.spawn(sleeper())
+        sim.spawn(interrupter(p))
+        sim.run()
+        assert p.value == 205.0
+
     def test_interrupt_finished_process_is_noop(self):
         sim = Simulator()
 

@@ -25,16 +25,22 @@ of the sequence, draw no tie-break priority and stay out of
 ``events_processed``.  It also pins the cancelled-entry compaction
 behaviour: a workload that schedules and cancels far-future timers
 (the HCA ack-timeout pattern) must keep a bounded queue.
+
+A second family drives *processes* that sleep on timeouts, share them,
+crash and are stepped, against the historical two-entry schedule of a
+timeout (the firing entry, then one wakeup entry per callback): the
+FIFO drain runs a lone timeout's single callback in place, and that
+must not move an event, a timestamp, the crash point or the count.
 """
 
 import heapq
 import itertools
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 # Few distinct values -> heavy same-timestamp collisions, which is
 # exactly the regime the bulk drain optimizes and must not reorder.
@@ -220,6 +226,191 @@ def test_seeded_order_is_deterministic_and_differs():
         assert sorted(order) == sorted(base)  # a permutation of ties
     # and at least one seed actually perturbs the insertion order
     assert any(order != base for order in seeded.values())
+
+
+# A process program is one list of steps per process:
+#   ("sleep", d)      yield sim.timeout(d)
+#   ("join", k, d)    yield the timeout another process left under key
+#                     k (a second callback, or a late add to a fired
+#                     one), else leave a new one there and yield it
+#   ("call", d)       sim.call_in(d, ...): same-time company
+#   ("orphan", d)     a timeout nobody waits on
+#   ("crash",)        raise
+_pstep = st.one_of(
+    st.tuples(st.just("sleep"), st.sampled_from(DELAYS)),
+    st.tuples(st.just("join"), st.integers(0, 2), st.sampled_from(DELAYS)),
+    st.tuples(st.just("call"), st.sampled_from(DELAYS)),
+    st.tuples(st.just("orphan"), st.sampled_from(DELAYS)),
+)
+_procs = st.lists(st.lists(_pstep, max_size=6), min_size=1, max_size=6)
+#: how a run is driven before its final run(): bounded runs and steps
+_drive = st.lists(st.one_of(
+    st.tuples(st.just("until"), st.sampled_from(TIMES)),
+    st.tuples(st.just("step"), st.integers(min_value=1, max_value=3))),
+    max_size=4)
+
+#: a timeout alone in its bucket; one sharing it with a later call
+ALONE = [[("sleep", 1e-6), ("sleep", 0.0)]]
+COMPANY = [[("sleep", 2e-6)], [("call", 2e-6), ("sleep", 2e-6)]]
+
+
+def _procs_calendar(procs, tie_seed, drive=()):
+    """Run a process program on the real engine; returns (log, final
+    clock, events_processed, crashed)."""
+    sim = Simulator(tie_seed=tie_seed)
+    log = []
+    shared = {}
+
+    def proc(pid, steps):
+        for idx, step in enumerate(steps):
+            log.append((sim.now, pid, idx))
+            if step[0] == "sleep":
+                yield sim.timeout(step[1])
+            elif step[0] == "join":
+                ev = shared.pop(step[1], None)
+                if ev is None:
+                    ev = shared[step[1]] = sim.timeout(step[2])
+                yield ev
+            elif step[0] == "call":
+                sim.call_in(step[1], lambda tag=f"{pid}.{idx}":
+                            log.append((sim.now, tag)))
+            elif step[0] == "orphan":
+                sim.timeout(step[1])
+            else:
+                raise RuntimeError(f"crash in {pid}.{idx}")
+
+    for pid, steps in enumerate(procs):
+        sim.spawn(proc(pid, steps))
+    try:
+        for op, arg in drive:
+            if op == "until":
+                sim.run(until=max(arg, sim.now))
+            else:
+                for _ in range(arg):
+                    if sim.peek() < float("inf"):
+                        sim.step()
+        sim.run()
+    except SimulationError:
+        return log, sim.now, sim.events_processed, True
+    return log, sim.now, sim.events_processed, False
+
+
+def _procs_legacy_heap(procs, tie_seed):
+    """The same program on the historical heap, where a timeout is one
+    entry that fires it and then one entry per callback to resume."""
+    heap = []
+    seq = itertools.count()
+    rng = None if tie_seed is None else random.Random(tie_seed)
+    log = []
+    shared = {}
+    timeouts = []  # [fired, waiting pids]
+    pos = [0] * len(procs)
+    now = 0.0
+
+    def push(when, item):
+        if rng is None:
+            heapq.heappush(heap, (when, next(seq), item))
+        else:
+            heapq.heappush(heap,
+                           (when, rng.getrandbits(32), next(seq), item))
+
+    def new_timeout(delay, waiter):
+        timeouts.append([False, [] if waiter is None else [waiter]])
+        push(now + delay, ("fire", len(timeouts) - 1))
+        return len(timeouts) - 1
+
+    def resume(pid):
+        """Run ``pid`` to its next wait; False if it crashed."""
+        while pos[pid] < len(procs[pid]):
+            idx = pos[pid]
+            pos[pid] += 1
+            step = procs[pid][idx]
+            log.append((now, pid, idx))
+            if step[0] == "sleep":
+                new_timeout(step[1], pid)
+                return True
+            if step[0] == "join":
+                tid = shared.pop(step[1], None)
+                if tid is None:
+                    shared[step[1]] = new_timeout(step[2], pid)
+                elif timeouts[tid][0]:
+                    push(now, ("resume", pid))
+                else:
+                    timeouts[tid][1].append(pid)
+                return True
+            if step[0] == "call":
+                push(now + step[1], ("call", f"{pid}.{idx}"))
+            elif step[0] == "orphan":
+                new_timeout(step[1], None)
+            else:
+                return False
+        return True
+
+    for pid in range(len(procs)):
+        push(0.0, ("resume", pid))
+    executed = 0
+    while heap:
+        entry = heapq.heappop(heap)
+        now, (kind, arg) = entry[0], entry[-1]
+        executed += 1
+        if kind == "fire":
+            timeouts[arg][0] = True
+            for pid in timeouts[arg][1]:
+                push(now, ("resume", pid))
+        elif kind == "call":
+            log.append((now, arg))
+        elif not resume(arg):
+            return log, now, executed, True
+    return log, now, executed, False
+
+
+@settings(max_examples=150, deadline=None)
+@given(procs=_procs, tie_seed=_seeds)
+@example(procs=ALONE, tie_seed=None)
+@example(procs=COMPANY, tie_seed=None)
+def test_timeouts_match_the_two_entry_schedule(procs, tie_seed):
+    got = _procs_calendar(procs, tie_seed)
+    assert got == _procs_legacy_heap(procs, tie_seed)
+    assert not got[3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(procs=_procs, tie_seed=_seeds, data=st.data())
+def test_crash_in_a_resumed_process(procs, tie_seed, data):
+    pid = data.draw(st.integers(min_value=0, max_value=len(procs) - 1))
+    at = data.draw(st.integers(min_value=0, max_value=len(procs[pid])))
+    procs = [list(steps) for steps in procs]
+    procs[pid].insert(at, ("crash",))
+    got = _procs_calendar(procs, tie_seed)
+    assert got == _procs_legacy_heap(procs, tie_seed)
+    assert got[3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(procs=_procs, tie_seed=_seeds, drive=_drive)
+@example(procs=ALONE, tie_seed=None, drive=[("step", 2), ("until", 1e-6)])
+def test_bounded_runs_and_steps_straddle_timeouts(procs, tie_seed, drive):
+    got = _procs_calendar(procs, tie_seed, drive)
+    assert got == _procs_legacy_heap(procs, tie_seed)
+
+
+def test_company_queued_behind_a_timeout_runs_before_its_wakeup():
+    """The in-place wakeup is only for a timeout that is its bucket's
+    last entry: a callback queued behind it runs first."""
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        t = sim.timeout(1.0)
+        sim.call_at(1.0, log.append, "company")
+        yield t
+        log.append("woke")
+
+    sim.spawn(sleeper())
+    sim.run()
+    assert log == ["company", "woke"]
+    # start, timeout firing, wakeup, company
+    assert sim.events_processed == 4
 
 
 class TestCancelledTimerCompaction:
