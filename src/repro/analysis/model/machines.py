@@ -327,7 +327,7 @@ class LazyConnectModel(Model):
                            (p0, p1, pair, owner, attempt, _TO_REP,
                             drops - 1))
             elif leg in (_TO_REQ, _TO_REP):
-                # rc_timeout * backoff**attempt, then resend — unless
+                # wait out ack_timeout(attempt), then resend — unless
                 # the mutation forgot the REP-leg timer
                 if (self.mutation == "drop-rep-no-retry"
                         and leg == _TO_REP):

@@ -44,8 +44,6 @@ class HardwareConfig:
     link_bandwidth: float = 952 * MB
     #: one-way propagation + switch crossing (cut-through).
     wire_latency: float = 0.45 * US
-    #: IB MTU (used by the transport for segmentation bookkeeping).
-    mtu: int = 2048
 
     # ------------------------------------------------------------------
     # HCA (Mellanox InfiniHost MT23108 on PCI-X 64/133)
@@ -60,8 +58,6 @@ class HardwareConfig:
     #: (the InfiniHost read engine serializes responses; this is why
     #: raw RDMA read trails RDMA write for mid-size messages, Fig. 15).
     hca_read_response: float = 3.6 * US
-    #: maximum outstanding RDMA reads per QP (IB "responder resources").
-    max_outstanding_reads: int = 4
     #: CPU cost of one CQ poll that finds a completion.
     cq_poll_cpu: float = 0.30 * US
     #: mean extra delay before a polling loop notices new data
@@ -77,24 +73,6 @@ class HardwareConfig:
     pci_latency: float = 0.65 * US
 
     # ------------------------------------------------------------------
-    # RC transport recovery (active only under fault injection — see
-    # repro.faults; the no-fault path never consults these)
-    # ------------------------------------------------------------------
-    #: initial ack timeout before the first retransmission.
-    rc_timeout: float = 60 * US
-    #: extra timeout allowance per payload byte — covers the data
-    #: drain (and, for reads, the responder turnaround + response
-    #: drain) of large messages at well below nominal link bandwidth,
-    #: so congestion alone cannot exhaust the retry budget.
-    rc_timeout_per_byte: float = 5e-9
-    #: exponential backoff factor applied to the timeout per retry.
-    rc_retry_backoff: float = 2.0
-    #: bounded transport retry count (IB "retry_cnt"): after this many
-    #: retransmissions the QP enters the error state and the WQE
-    #: completes with ``WcStatus.RETRY_EXC_ERR``.
-    rc_retry_cnt: int = 7
-
-    # ------------------------------------------------------------------
     # Host memory system (400 MHz FSB Xeon, 512 KB L2)
     # ------------------------------------------------------------------
     #: total memory-bus capacity in bus-bytes/s.  A memcpy consumes
@@ -105,8 +83,6 @@ class HardwareConfig:
     membus_bandwidth: float = 1600 * MB
     #: L2 cache size; working sets beyond this pay the 3x copy cost.
     l2_cache_size: int = 512 * KB
-    #: fixed per-memcpy-call CPU cost.
-    memcpy_call_overhead: float = 0.06 * US
     #: bus-bytes consumed per payload byte, cache-resident copy.
     memcpy_cost_cached: float = 2.0
     #: bus-bytes consumed per payload byte, cache-missing copy.
@@ -183,10 +159,6 @@ class ChannelConfig:
     tail_update_fraction: float = 0.25
     #: enable the registration (pin-down) cache (§5).
     registration_cache: bool = True
-    #: max number of cached registrations before LRU eviction.
-    regcache_capacity: int = 64
-    #: CH3 rendezvous threshold for the CH3-level design (§6).
-    ch3_rndv_threshold: int = 32 * KB
     # -- srq/mux connection-scaling designs (post-paper; see
     # docs/SIMULATOR.md §"Connection scaling") ------------------------
     #: receive buffers in the per-rank shared pool (SRQ designs).  The
@@ -199,9 +171,6 @@ class ChannelConfig:
     #: one peer may be outstanding without a credit return, bounding
     #: any single peer's share of the shared pool.
     srq_credits: int = 8
-    #: bounded QP pool per node pair in the multiplexed ("mux")
-    #: design; peer flows hash onto the pool deterministically.
-    qp_pool_size: int = 4
 
     def __post_init__(self):
         if self.ring_size % self.chunk_size != 0:
@@ -218,5 +187,3 @@ class ChannelConfig:
             raise ValueError("srq_credits must be >= 1")
         if not (1 <= self.srq_credits <= self.srq_pool_slots):
             raise ValueError("srq_credits cannot exceed srq_pool_slots")
-        if self.qp_pool_size < 1:
-            raise ValueError("qp_pool_size must be >= 1")

@@ -18,8 +18,8 @@ bit-for-bit unchanged (guarded by ``tests/test_fault_injection.py``).
 
 The RC-transport recovery machinery that *reacts* to these faults
 (PSNs, ack/timeout retransmission, bounded retry, CRC checks) lives in
-:mod:`repro.ib.hca`; the knobs controlling it (``rc_timeout``,
-``rc_retry_cnt``, ...) are part of :class:`repro.config.HardwareConfig`.
+:mod:`repro.ib.hca`, together with its fixed retry schedule
+(``ack_timeout`` and ``RC_RETRY_CNT``).
 """
 
 from __future__ import annotations

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ..config import HardwareConfig
+from ..config import US, HardwareConfig
 from ..sim.engine import Simulator
 from ..sim.fluid import FluidNetwork, FluidResource
 from .memory import NodeMemory
 
 __all__ = ["MemBus"]
+
+#: fixed CPU cost of one memcpy call.
+MEMCPY_CALL_OVERHEAD = 0.06 * US
 
 
 class MemBus:
@@ -46,7 +49,7 @@ class MemBus:
         """
         if nbytes < 0:
             raise ValueError("negative memcpy length")
-        yield self.sim.timeout(self.cfg.memcpy_call_overhead)
+        yield self.sim.timeout(MEMCPY_CALL_OVERHEAD)
         if nbytes:
             ws = working_set if working_set is not None else 2 * nbytes
             cost = self.cfg.memcpy_cost_per_byte(ws)
@@ -54,17 +57,4 @@ class MemBus:
                                     label=f"memcpy[{self.node_id}]")
             mem.copy_within(dst, src, nbytes)
             self.bytes_copied += nbytes
-        return nbytes
-
-    def touch(self, nbytes: int, working_set: Optional[int] = None
-              ) -> Generator:
-        """Charge bus time for a CPU read or write of ``nbytes`` without
-        moving data (checksums, flag scans, packing arithmetic)."""
-        yield self.sim.timeout(self.cfg.memcpy_call_overhead)
-        if nbytes:
-            ws = working_set if working_set is not None else nbytes
-            # read-only traffic: 1 bus-byte per byte cached, 2 uncached
-            cost = self.cfg.memcpy_cost_per_byte(ws) - 1.0
-            yield self.net.transfer(nbytes, [(self.bus, cost)],
-                                    label=f"touch[{self.node_id}]")
         return nbytes

@@ -1,16 +1,15 @@
 """Completion queues.
 
 Applications poll a CQ for completions of signaled work requests.
-Polling costs CPU time (charged by the caller through
-:meth:`CompletionQueue.poll`'s returned cost, or by the blocking helper
-:meth:`wait`).  The ``poll_detect_latency`` of the hardware config is
-applied where completions are *generated* (HCA side), modelling the
-delay before a spinning consumer observes the CQE over the bus.
+The queue itself charges nothing: the caller pays the poll CPU and,
+when it slept until a CQE arrived, the hardware config's
+``poll_detect_latency`` (the delay before a spinning consumer observes
+the CQE over the bus; see :meth:`repro.ib.verbs.VapiContext.wait_cq`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, List, Optional
 
 from ..obs import NULL_METRICS
 from ..sim.engine import Event, Simulator
@@ -89,17 +88,6 @@ class CompletionQueue:
         """CQEs currently queued (free to read: the consumer charges
         poll cost only when it actually drains)."""
         return len(self._entries)
-
-    def wait(self) -> Generator:
-        """Block until a completion is available, then pop it.
-
-        This is a simulation convenience (like an event-driven
-        ``ibv_get_cq_event``); the protocol layers that model a real
-        polling loop use :meth:`poll` plus their own spin cost.
-        """
-        while not self._entries:
-            yield self._gate.wait()
-        return self._entries.popleft()
 
     def wait_event(self) -> Event:
         """An event that fires the next time a completion is pushed."""

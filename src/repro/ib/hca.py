@@ -71,7 +71,7 @@ from typing import (Any, Callable, Dict, Generator, List, Optional,
 import numpy as np
 import numpy.typing as npt
 
-from ..config import HardwareConfig
+from ..config import US, HardwareConfig
 from ..hw.membus import MemBus
 from ..hw.memory import NodeMemory
 from ..obs import NULL_OBS
@@ -86,9 +86,34 @@ from .types import (Access, AccessError, Completion, IBError, Opcode,
                     QPError, RecvRequest, RnrError, Sge, WcStatus,
                     WorkRequest)
 
-__all__ = ["Hca", "QueuePair", "HcaStats", "SharedReceiveQueue"]
+__all__ = ["Hca", "QueuePair", "HcaStats", "SharedReceiveQueue",
+           "ack_timeout", "RC_RETRY_CNT"]
 
 _qpn_counter = itertools.count(0x40)
+
+# RC recovery schedule (consulted only under fault injection; the
+# fault-free transport never arms a timer).
+#: initial ack timeout before the first retransmission.
+RC_TIMEOUT = 60 * US
+#: extra timeout allowance per payload byte: covers the data drain
+#: (and, for reads, the responder turnaround + response drain) of large
+#: messages at well below nominal link bandwidth, so congestion alone
+#: cannot exhaust the retry budget.
+RC_TIMEOUT_PER_BYTE = 5e-9
+#: exponential backoff factor applied to the timeout per retry.
+RC_RETRY_BACKOFF = 2.0
+#: bounded transport retry count (IB "retry_cnt"): after this many
+#: retransmissions the QP enters the error state and the WQE completes
+#: with ``WcStatus.RETRY_EXC_ERR``.
+RC_RETRY_CNT = 7
+
+
+def ack_timeout(attempt: int, nbytes: int = 0) -> float:
+    """The timer armed for try ``attempt`` (0 = first transmission) of
+    an exchange carrying ``nbytes``.  Also the on-demand connect's
+    handshake retry schedule (:mod:`repro.mpich2.connect`)."""
+    return (RC_TIMEOUT * RC_RETRY_BACKOFF ** attempt
+            + nbytes * RC_TIMEOUT_PER_BYTE)
 
 #: sentinel distinguishing "every attempt's timer fired" from any
 #: response value
@@ -566,7 +591,7 @@ class QueuePair:
     #
     # Stop-and-wait per WQE: one PSN, transmit, wait for the ack with
     # an exponentially backed-off timeout, retransmit up to
-    # ``rc_retry_cnt`` times, then error the QP.  The responder keeps
+    # ``RC_RETRY_CNT`` times, then error the QP.  The responder keeps
     # ``expected_psn`` plus a one-entry response cache so duplicate
     # retransmits (lost acks, spurious timeouts) are suppressed and
     # re-acked with the original outcome — writes/sends place bytes at
@@ -584,9 +609,9 @@ class QueuePair:
         the response value, or ``_TIMED_OUT`` once the retry count is
         exceeded: the QP is then in error with an error CQE (never a
         hang) for the consumer to observe."""
-        sim, cfg = self.hca.sim, self.hca.cfg
+        sim = self.hca.sim
         fstats = self.hca.faults.stats
-        for attempt in range(cfg.rc_retry_cnt + 1):
+        for attempt in range(RC_RETRY_CNT + 1):
             if attempt:
                 fstats.retransmissions += 1
                 self._m_retrans.inc()
@@ -595,9 +620,8 @@ class QueuePair:
             resp = sim.event()
             sim.spawn(trip(resp), name=f"qp{self.qpn}.{wr.opcode.value}_rc")
             timer = sim.event()
-            handle = sim.call_in(
-                cfg.rc_timeout * cfg.rc_retry_backoff ** attempt
-                + budget * cfg.rc_timeout_per_byte, timer.succeed)
+            handle = sim.call_in(ack_timeout(attempt, budget),
+                                 timer.succeed)
             if (yield sim.any_of([resp, timer])) is resp:
                 handle.cancel()
                 return resp._value

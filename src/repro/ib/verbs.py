@@ -65,18 +65,6 @@ class VapiContext:
         self.hca.stats.deregistrations += 1
         return None
 
-    # -- queues ------------------------------------------------------------
-    def create_cq(self, depth: int = 4096) -> CompletionQueue:
-        return self.hca.create_cq(depth)
-
-    def create_qp(self, send_cq: CompletionQueue,
-                  recv_cq: Optional[CompletionQueue] = None,
-                  **kw) -> QueuePair:
-        return self.hca.create_qp(send_cq, recv_cq, **kw)
-
-    def create_srq(self, max_wr: int = 4096) -> SharedReceiveQueue:
-        return self.hca.create_srq(max_wr)
-
     # -- posting -------------------------------------------------------------
     def post_send(self, qp: QueuePair, wr: WorkRequest) -> Generator:
         yield from self.cpu.work(self.cfg.post_wqe_cpu)

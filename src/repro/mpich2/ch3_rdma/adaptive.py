@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ...ib.types import Opcode, WcStatus
+from ...tune.controller import CH3_RNDV_THRESHOLD
 from ..adi3 import MpiError
 from .device import Ch3RdmaDevice
 
@@ -28,7 +29,7 @@ class Ch3AdaptiveDevice(Ch3RdmaDevice):
     """Rendezvous device wired to the channel's adaptive controller."""
 
     def _use_rndv(self, live, size, dest) -> bool:
-        threshold = self.tuner.rndv_threshold(dest, self.rndv_threshold)
+        threshold = self.tuner.rndv_threshold(dest, CH3_RNDV_THRESHOLD)
         use = size >= threshold and len(live) == 1
         # feed the controller: size, queue depth (the streaming
         # detector input: packets still queued on the connection plus

@@ -1,7 +1,7 @@
 """The CH3-level comparator design (§6 of the paper).
 
 Small messages travel eagerly through the ring channel exactly like
-the RDMA-Channel designs.  Messages of at least ``ch3_rndv_threshold``
+the RDMA-Channel designs.  Messages of at least ``CH3_RNDV_THRESHOLD``
 bytes use a rendezvous protocol handled *at the CH3 layer* (paper
 Fig. 12):
 
@@ -26,6 +26,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from ...hw.memory import Buffer
 from ...ib.types import Opcode, WcStatus
+from ...tune.controller import CH3_RNDV_THRESHOLD
 from ..adi3 import MpiError, Request, TruncateError
 from ..ch3 import (PKT_EAGER, PKT_RNDV_CTS, PKT_RNDV_FIN, PKT_RNDV_RTS,
                    Ch3Device, _Inflight, _Unexpected, _match)
@@ -74,7 +75,6 @@ class Ch3RdmaDevice(Ch3Device):
 
     def __init__(self, rank: int, size: int, channel):
         super().__init__(rank, size, channel)
-        self.rndv_threshold = channel.ch_cfg.ch3_rndv_threshold
         #: sender side, keyed by our request id
         self.rndv_sends: Dict[int, _RndvSend] = {}
         #: sends whose RDMA write is in flight, keyed by wr_id per peer
@@ -90,7 +90,7 @@ class Ch3RdmaDevice(Ch3Device):
         the rendezvous RDMA-write path.  The static rule is the §6
         threshold; the adaptive device overrides this to ask its
         per-peer controller."""
-        return size >= self.rndv_threshold
+        return size >= CH3_RNDV_THRESHOLD
 
     # ------------------------------------------------------------------
     # send path

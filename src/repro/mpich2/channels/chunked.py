@@ -109,8 +109,7 @@ class ChunkedChannel(RdmaChannel):
     def __init__(self, **kw):
         super().__init__(**kw)
         self.regcache = RegistrationCache(
-            self.ctx, capacity=self.ch_cfg.regcache_capacity,
-            enabled=self.ch_cfg.registration_cache,
+            self.ctx, enabled=self.ch_cfg.registration_cache,
             metrics=self.obs.metrics.scope(f"rank{self.rank}.regcache"))
         self.nslots = self.ch_cfg.ring_size // self.ch_cfg.chunk_size
         #: zero-copy sends downgraded to the ring path because *our*

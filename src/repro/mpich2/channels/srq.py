@@ -50,6 +50,10 @@ __all__ = ["SrqChannel", "MuxChannel", "SrqConnection"]
 _HDR_FMT = "<iiQ"
 _HDR_SIZE = struct.calcsize(_HDR_FMT)
 
+#: bounded QP pool per node pair in the ``mux`` design; peer flows hash
+#: onto the pool deterministically.
+QP_POOL_SIZE = 4
+
 
 class _RecvPool:
     """One shared receive pool: the slot arena, its SRQ, the CQ all
@@ -321,7 +325,7 @@ class MuxChannel(SrqChannel):
     """``srq`` with node-level sharing: one receive pool per node and a
     bounded QP pool per node pair.  A flow (src rank, dst rank) hashes
     to one QP slot, so per-flow FIFO order is preserved while QP count
-    scales with node pairs x ``qp_pool_size`` instead of rank pairs."""
+    scales with node pairs x ``QP_POOL_SIZE`` instead of rank pairs."""
 
     def _make_pool(self) -> _RecvPool:
         state = self.node.channel_state
@@ -346,7 +350,7 @@ class MuxChannel(SrqChannel):
                 name=f"mux.scq[{chan.node.node_id}->"
                      f"{remote_node.node_id}]")
             ep = chan.node.channel_state[key] = _SendEndpoint(
-                cq, nqps=chan.ch_cfg.qp_pool_size)
+                cq, nqps=QP_POOL_SIZE)
         return ep
 
     @classmethod
@@ -358,9 +362,8 @@ class MuxChannel(SrqChannel):
             return super()._wire_qps(a, b)
         ep_a = cls._endpoint(a, b.node)
         ep_b = cls._endpoint(b, a.node)
-        nqps = a.ch_cfg.qp_pool_size
-        ia = cls._flow_slot(a.rank, b.rank, nqps)
-        ib = cls._flow_slot(b.rank, a.rank, nqps)
+        ia = cls._flow_slot(a.rank, b.rank, QP_POOL_SIZE)
+        ib = cls._flow_slot(b.rank, a.rank, QP_POOL_SIZE)
         for idx in ((ia,) if ia == ib else (ia, ib)):
             if ep_a.qps[idx] is None:
                 qa = a.node.hca.create_qp(ep_a.cq, a._pool.recv_cq,

@@ -16,11 +16,12 @@ the eager full-mesh loop; :meth:`Ch3Device.isend` calls
 The handshake is simulated as one REQ and one REP leg (wire latency +
 PCI crossing each way), each subject to the fault plan's per-link
 packet verdicts: a dropped or corrupted leg times out and the
-initiator retries with the RC layer's exponential backoff, up to
-``rc_retry_cnt`` attempts.  Concurrent connects of the same unordered
-pair coalesce on a pair-keyed event, so the handshake runs exactly
-once no matter which side initiates first — or whether both do — and
-the resulting state is independent of the engine's tie-break seed.
+initiator retries on the RC layer's schedule
+(:func:`repro.ib.hca.ack_timeout`), up to ``RC_RETRY_CNT`` times.
+Concurrent connects of the same unordered pair coalesce on a
+pair-keyed event, so the handshake runs exactly once no matter which
+side initiates first — or whether both do — and the resulting state
+is independent of the engine's tie-break seed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Tuple, Union
 
 from ..faults import DELAY, OK
+from ..ib.hca import RC_RETRY_CNT, ack_timeout
 from .adi3 import MpiError
 
 __all__ = ["LazyConnector"]
@@ -101,7 +103,7 @@ class LazyConnector:
         na = self.channels[src].node.node_id
         nb = self.channels[dest].node.node_id
         one_way = cfg.wire_latency + cfg.pci_latency
-        for attempt in range(cfg.rc_retry_cnt + 1):
+        for attempt in range(RC_RETRY_CNT + 1):
             lost = False
             for s, d in ((na, nb), (nb, na)):  # REQ leg, then REP leg
                 verdict, extra = faults.packet_verdict(s, d, sim.now)
@@ -113,11 +115,10 @@ class LazyConnector:
                 yield sim.timeout(fabric.latency(s, d) + one_way)
             if not lost:
                 return
-            yield sim.timeout(cfg.rc_timeout *
-                              (cfg.rc_retry_backoff ** attempt))
+            yield sim.timeout(ack_timeout(attempt))
         raise MpiError(
             f"rank {src}: on-demand connect to rank {dest} failed "
-            f"after {cfg.rc_retry_cnt + 1} attempts")
+            f"after {RC_RETRY_CNT + 1} attempts")
 
     def _establish(self, key: Tuple[int, int]) -> None:
         lo, hi = key

@@ -69,10 +69,6 @@ class Fifo:
         self._head = head
         return item
 
-    def clear(self) -> None:
-        self._buf.clear()
-        self._head = 0
-
 
 class Store:
     """Unbounded (or bounded) FIFO mailbox.

@@ -63,6 +63,10 @@ HYSTERESIS = 0.25
 #: outstanding messages is classified as *streaming* (bandwidth
 #: bound); below it the peer is latency bound (ping-pong-like).
 STREAMING_DEPTH = 2
+#: the §6 eager/rendezvous threshold of the CH3-level designs: the
+#: static ``ch3`` design's crossover and the controller's starting
+#: point for every peer.
+CH3_RNDV_THRESHOLD = 32 * KB
 #: bounds on the tuned eager/rendezvous crossover (the §6 threshold
 #: the controller moves per peer).
 MIN_CROSSOVER = 4 * KB
@@ -203,8 +207,8 @@ class AdaptiveController:
     def _peer(self, peer: int) -> _PeerState:
         st = self._peers.get(peer)
         if st is None:
-            st = _PeerState(min(max(self.ch_cfg.ch3_rndv_threshold,
-                                    MIN_CROSSOVER), MAX_CROSSOVER))
+            st = _PeerState(min(max(CH3_RNDV_THRESHOLD, MIN_CROSSOVER),
+                                MAX_CROSSOVER))
             self._peers[peer] = st
         return st
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
+from repro.hw.membus import MEMCPY_CALL_OVERHEAD
 from repro.mpi import run_mpi
 from repro.mpi.derived import (CHAR, DOUBLE, FLOAT32, INT32, Datatype)
 
@@ -120,7 +121,7 @@ class TestPackUnpack:
         p = cluster.spawn(prog(), "main")
         cluster.run()
         # 64 separate 8-byte copies cost far more than one 512B copy
-        assert p.value > 64 * cluster.cfg.memcpy_call_overhead
+        assert p.value > 64 * MEMCPY_CALL_OVERHEAD
 
     @given(count=st.integers(1, 4), blocklen=st.integers(1, 4),
            stride_extra=st.integers(0, 3), n=st.integers(1, 3))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import KB, MB, HardwareConfig
-from repro.hw.membus import MemBus
+from repro.hw.membus import MEMCPY_CALL_OVERHEAD, MemBus
 from repro.hw.memory import NodeMemory
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidNetwork
@@ -45,9 +45,9 @@ class TestMemcpy:
 
         p = sim.spawn(prog())
         sim.run()
-        expected = cfg.memcpy_call_overhead + n * 2 / cfg.membus_bandwidth
+        expected = MEMCPY_CALL_OVERHEAD + n * 2 / cfg.membus_bandwidth
         assert p.value == pytest.approx(expected, rel=1e-9)
-        assert n / (p.value - cfg.memcpy_call_overhead) == pytest.approx(
+        assert n / (p.value - MEMCPY_CALL_OVERHEAD) == pytest.approx(
             800 * MB, rel=1e-6)
 
     def test_uncached_copy_is_slower(self):
@@ -64,7 +64,7 @@ class TestMemcpy:
 
         p = sim.spawn(prog())
         sim.run()
-        bw = n / (p.value - cfg.memcpy_call_overhead)
+        bw = n / (p.value - MEMCPY_CALL_OVERHEAD)
         assert bw == pytest.approx(cfg.membus_bandwidth / 3, rel=1e-6)
         assert bw < 800 * MB
 
@@ -105,7 +105,7 @@ class TestMemcpy:
 
         p = sim.spawn(prog())
         sim.run()
-        assert p.value == pytest.approx(cfg.memcpy_call_overhead)
+        assert p.value == pytest.approx(MEMCPY_CALL_OVERHEAD)
 
     def test_negative_length_rejected(self):
         sim, net, cfg, bus, mem = make()
@@ -134,7 +134,7 @@ class TestMemcpy:
         solo = n * 2 / cfg.membus_bandwidth
         # concurrent copies each take ~2x the solo time
         assert done[0] == pytest.approx(
-            cfg.memcpy_call_overhead + 2 * solo, rel=1e-3)
+            MEMCPY_CALL_OVERHEAD + 2 * solo, rel=1e-3)
 
     def test_bytes_copied_stat(self):
         sim, net, cfg, bus, mem = make()
@@ -147,16 +147,3 @@ class TestMemcpy:
         sim.run()
         assert bus.bytes_copied == 100
 
-
-class TestTouch:
-    def test_touch_charges_read_traffic(self):
-        sim, net, cfg, bus, mem = make()
-
-        def prog():
-            yield from bus.touch(64 * KB)
-            return sim.now
-
-        p = sim.spawn(prog())
-        sim.run()
-        expected = cfg.memcpy_call_overhead + 64 * KB / cfg.membus_bandwidth
-        assert p.value == pytest.approx(expected, rel=1e-9)

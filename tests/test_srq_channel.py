@@ -23,6 +23,7 @@ from repro.cluster import build_cluster
 from repro.config import KB, ChannelConfig
 from repro.ib import QPError, RecvRequest, Sge
 from repro.mpi.runner import build_world, run_world
+from repro.mpich2.channels.srq import QP_POOL_SIZE
 
 
 def _srq_fixture(max_wr=4, slot=256):
@@ -251,9 +252,8 @@ class TestMuxPooling:
         # inter-node flows share endpoint pools (<= 2 QPs per node
         # pair per slot); same-node pairs get dedicated loopback pairs
         npairs = 4 * 3 // 2
-        pool = ChannelConfig().qp_pool_size
         same_node_pairs = 4 * (4 * 3 // 2)  # 4 ranks/node
-        assert qps_mux <= 2 * npairs * pool + 2 * same_node_pairs
+        assert qps_mux <= 2 * npairs * QP_POOL_SIZE + 2 * same_node_pairs
 
     def test_mux_srsq_share_one_pool_per_node(self):
         w = build_world(8, "mux", nnodes=2)

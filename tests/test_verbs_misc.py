@@ -38,23 +38,6 @@ class TestCompletionQueue:
         with pytest.raises(ValueError):
             CompletionQueue(Simulator(), depth=0)
 
-    def test_wait_blocks_until_push(self):
-        sim = Simulator()
-        cq = CompletionQueue(sim)
-
-        def waiter():
-            cqe = yield from cq.wait()
-            return (sim.now, cqe.wr_id)
-
-        def pusher():
-            yield sim.timeout(3.0)
-            cq.push(Completion(42, WcStatus.SUCCESS, Opcode.RDMA_READ))
-
-        p = sim.spawn(waiter())
-        sim.spawn(pusher())
-        sim.run()
-        assert p.value == (3.0, 42)
-
     def test_timestamp_recorded(self):
         sim = Simulator()
         cq = CompletionQueue(sim)
