@@ -209,7 +209,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser("mutcheck",
                        help="validate tooling against the bug corpus")
-    p.add_argument("--expect", type=int, default=13,
+    p.add_argument("--expect", type=int, default=14,
                    help="minimum mutations that must be caught")
     p.add_argument("--static-only", action="store_true",
                    help="skip the shadow (dynamic) prong")

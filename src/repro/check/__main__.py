@@ -7,28 +7,22 @@ Examples::
     python -m repro.check fuzz --budget 50 --time-budget 60 \\
         --perturb 2 --faults --out replays/       # CI smoke slice
     python -m repro.check replay replays/fail-7.json
-    python -m repro.check mutate --expect 12      # harness self-test
-    python -m repro.check golden --write tests/corpus
+    python -m repro.check mutate --expect 15      # harness self-test
+    python -m repro.check pin                     # check every pin
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 
 from . import oracle
-from .differ import DEFAULT_DESIGNS, differential, run_spec
+from .differ import DEFAULT_DESIGNS, differential
 from .generate import generate_fault_plan, generate_spec
 from .mutations import CATALOG, run_smoke
 from .shrink import ShrinkResult, shrink, write_replay, replay as _replay
-
-#: seeds of the checked-in golden replay corpus (see golden --write).
-GOLDEN_SEEDS = (11, 23, 31, 47, 59, 101, 149, 211, 307, 401)
-#: designs pinned by the golden corpus: every row of the design table.
-GOLDEN_DESIGNS = DEFAULT_DESIGNS
 
 
 def _parse_designs(arg):
@@ -132,33 +126,9 @@ def cmd_mutate(args) -> int:
     return 0 if detected >= args.expect else 1
 
 
-def cmd_golden(args) -> int:
-    os.makedirs(args.dir, exist_ok=True)
-    failed = 0
-    for seed in GOLDEN_SEEDS:
-        spec = generate_spec(seed, max_phases=3)
-        digests = {}
-        for design in GOLDEN_DESIGNS:
-            obs = run_spec(spec, design)
-            bad = oracle.check(spec, obs)
-            if bad:
-                raise SystemExit(f"golden seed {seed} fails on "
-                                 f"{design}: {bad[0]}")
-            digests[design] = oracle.observation_digest(obs)
-        path = os.path.join(args.dir, f"golden-{seed}.json")
-        doc = {"spec": spec.to_dict(), "digests": digests}
-        if args.write:
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {path}")
-        else:
-            with open(path) as fh:
-                want = json.load(fh)["digests"]
-            ok = want == digests
-            failed += not ok
-            print(f"{path}: {'ok' if ok else 'DIGEST MISMATCH'}")
-    return 1 if failed else 0
+def cmd_pin(args) -> int:
+    from .pins import pin
+    return pin(args.dir, update=args.update)
 
 
 def main(argv=None) -> int:
@@ -197,15 +167,16 @@ def main(argv=None) -> int:
     p = sub.add_parser("mutate",
                        help="mutation-testing smoke (harness "
                             "self-test)")
-    p.add_argument("--expect", type=int, default=12,
+    p.add_argument("--expect", type=int, default=15,
                    help="minimum mutations that must be caught")
     p.set_defaults(fn=cmd_mutate)
 
-    p = sub.add_parser("golden",
-                       help="write or check the golden replay corpus")
-    p.add_argument("dir", nargs="?", default="tests/corpus")
-    p.add_argument("--write", action="store_true")
-    p.set_defaults(fn=cmd_golden)
+    p = sub.add_parser("pin", help="check (or --update) the corpus, "
+                                   "design and transport pins")
+    p.add_argument("dir", nargs="?", default="tests",
+                   help="directory holding corpus/ and pins/")
+    p.add_argument("--update", action="store_true")
+    p.set_defaults(fn=cmd_pin)
 
     args = ap.parse_args(argv)
     return args.fn(args)

@@ -4,10 +4,10 @@
 as one generator program per rank, runs it on a freshly built world
 (design, optional schedule-perturbation seed, optional fault plan),
 and returns an :class:`Observation`: the canonical per-rank delivery
-records, the simulated elapsed time, and any hang/error/matching
-violations.  :func:`differential` fans one spec out over a matrix of
-(design, tie_seed, fault plan) combinations and reports every
-divergence — from the expected model and between designs.
+records, the simulated elapsed time and event count, and any
+hang/error/matching violations.  :func:`differential` fans one spec
+out over a matrix of (design, tie_seed, fault plan) combinations and
+reports every divergence — from the expected model and between designs.
 
 Hang handling: the simulator is run with ``until=spec.time_cap``;
 CH3's blocking progress engine waits on inbound-completion hints, so
@@ -47,6 +47,7 @@ class Observation:
     tie_seed: Optional[int] = None
     faults: Optional[dict] = None
     elapsed: float = 0.0
+    events: int = 0
     hang: bool = False
     unfinished: Tuple[int, ...] = ()
     error: Optional[str] = None
@@ -337,6 +338,7 @@ def run_spec(spec: WorkloadSpec, design: str,
         if cause is not None:
             obs.error += f" (from {type(cause).__name__}: {cause})"
     obs.elapsed = world.sim.now
+    obs.events = world.sim.events_processed
     obs.ranks = records
     obs.violations = violations
     if obs.error is None and not all(done):

@@ -208,7 +208,7 @@ def canonical_json(obj) -> str:
 
 def observation_digest(obs) -> str:
     """Bit-for-bit fingerprint of one run: canonical records plus the
-    exact simulated elapsed time (used by the golden replay tests)."""
+    exact simulated elapsed time."""
     body = canonical_json({"ranks": obs.ranks,
                            "elapsed": repr(obs.elapsed),
                            "violations": obs.violations})

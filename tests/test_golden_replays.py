@@ -1,17 +1,12 @@
-"""Golden replay corpus: ten generated specs pinned bit-for-bit.
+"""Golden replay corpus: ten generated specs pinned on every design.
 
-Each ``tests/corpus/golden-<seed>.json`` stores a full workload spec
-plus, per design, the :func:`repro.check.oracle.observation_digest` of
-its run — canonical per-rank records *and* the exact simulated elapsed
-time.  With schedule perturbation off (``tie_seed=None``) the whole
-stack is deterministic, so these digests must reproduce exactly; any
-drift means either a behavior change (records) or a timing change
-(elapsed), and both deserve a deliberate corpus regeneration::
-
-    PYTHONPATH=src python -m repro.check golden tests/corpus --write
-
-The specs themselves are stored in the files (not regenerated from the
-seed) so generator evolution cannot silently repoint what is pinned.
+Each ``tests/corpus/golden-<seed>.json`` stores a workload spec and,
+per design, the record of its run (:mod:`repro.check.pins`).  Every
+run must also conform to the expected-delivery model: a case raises
+the oracle's first failure.  The specs are stored, not regenerated
+from the seed, so generator evolution cannot silently repoint what is
+pinned.  Re-pin only deliberately, with
+``python -m repro.check pin --update``.
 """
 
 import json
@@ -19,50 +14,32 @@ import os
 
 import pytest
 
-from repro.check import oracle
-from repro.check.__main__ import GOLDEN_DESIGNS, GOLDEN_SEEDS
-from repro.check.differ import run_spec
+from repro.check import pins
 from repro.check.generate import generate_spec
-from repro.check.spec import WorkloadSpec
 
-CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
-
-
-def _load(seed):
-    with open(os.path.join(CORPUS, f"golden-{seed}.json")) as fh:
-        return json.load(fh)
+TESTS = os.path.dirname(__file__)
+PINNED = pins.CORPUS.read(TESTS)
 
 
 def test_corpus_is_complete():
-    files = sorted(f for f in os.listdir(CORPUS)
+    files = sorted(f for f in os.listdir(os.path.join(TESTS, "corpus"))
                    if f.startswith("golden-"))
-    assert files == sorted(f"golden-{s}.json" for s in GOLDEN_SEEDS)
+    assert files == sorted(f"golden-{s}.json" for s in pins.CORPUS_SEEDS)
 
 
-@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+@pytest.mark.parametrize("seed", pins.CORPUS_SEEDS)
 def test_golden_digests_reproduce(seed):
-    doc = _load(seed)
-    spec = WorkloadSpec.from_dict(doc["spec"])
-    assert sorted(doc["digests"]) == sorted(GOLDEN_DESIGNS)
-    for design in GOLDEN_DESIGNS:
-        obs = run_spec(spec, design)
-        assert oracle.check(spec, obs) == [], \
-            f"golden seed {seed} no longer conforms on {design}"
-        got = oracle.observation_digest(obs)
-        assert got == doc["digests"][design], (
-            f"seed {seed} on {design}: digest drifted "
-            f"({got} != {doc['digests'][design]}); if intentional, "
-            f"regenerate with `python -m repro.check golden "
-            f"tests/corpus --write`")
+    for key, run in pins.CORPUS.cases(TESTS).items():
+        if key.split("/")[0] == str(seed):
+            assert run() == PINNED.get(key), key
 
 
-@pytest.mark.parametrize("seed", GOLDEN_SEEDS[:3])
+@pytest.mark.parametrize("seed", pins.CORPUS_SEEDS[:3])
 def test_golden_specs_still_match_generator(seed):
     """The stored specs were produced by `generate_spec(seed,
     max_phases=3)`.  A sample is cross-checked so generator drift is
     *noticed* (and the corpus deliberately regenerated) rather than
     discovered during a failure investigation."""
-    doc = _load(seed)
     want = json.loads(json.dumps(
         generate_spec(seed, max_phases=3).to_dict()))
-    assert doc["spec"] == want
+    assert pins.read_json(pins.corpus_path(TESTS, seed))["spec"] == want
