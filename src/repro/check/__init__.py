@@ -15,6 +15,8 @@ that claim into an executable property:
   replay file;
 - :mod:`~repro.check.mutations` — known-dangerous protocol mutations
   that the harness must catch (its own smoke test).
+- :mod:`~repro.check.pins` — the corpus, design and transport pins:
+  one record format and one check (``python -m repro.check pin``).
 
 ``python -m repro.check`` is the command-line front end.
 """

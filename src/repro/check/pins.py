@@ -1,51 +1,23 @@
 """The pins: the simulated behaviour this repository holds byte for byte.
 
 Three suites cover the paper's design ladder (§4 basic → piggyback →
-pipeline, §5 zero-copy, CH3), both HCA transports and every simulated
-clock:
+pipeline, §5 zero-copy, CH3), both HCA transports and every clock:
 
-- ``corpus`` — ten generated workload specs (``tests/corpus/
-  golden-<seed>.json``, spec stored beside its pins so generator
-  evolution cannot repoint what is pinned) on every design; each run
-  must also conform to the expected-delivery model;
-- ``design`` — every design on six fixed traffic shapes, under two
-  geometries and two fault plans (``tests/pins/design.json``);
-- ``transport`` — nine verbs-level scenarios on one connected QP pair
-  under four fault plans (``tests/pins/transport.json``).
+- ``corpus`` — ten generated specs on every design; each file
+  ``<root>/corpus/golden-<seed>.json`` stores its spec, so generator
+  evolution cannot repoint what is pinned, and every run must also
+  conform to the expected-delivery model;
+- ``design`` — every design on six traffic shapes, two channel
+  geometries and two fault plans (``<root>/pins/design.json``);
+- ``transport`` — nine verbs scenarios on one QP pair under four
+  fault plans (``<root>/pins/transport.json``).
 
-Every case produces one record, :func:`left_behind`: the exact clock
-(``repr(sim.now)``), the engine's event count and a hash of the state
-the run left behind.  A case that raises records its exception type.
-Clock and events stay outside the hash, so a deliberate re-pin that
-only moves event counts or rounds a clock shows as exactly that in the
-JSON diff.
-
-``python -m repro.check pin`` checks every suite; ``--update``
-rewrites the files.  An update is a behaviour change: it goes in its
-own commit with a CHANGES.md entry saying why.
-
-Transport suite notes.  ``QueuePair`` runs one of two event sequences,
-chosen once from ``FaultState.transport_active``: the pipelined-ack
-single shot (no link fault configured) and the stop-and-wait
-PSN/ack-timeout machine (any link fault configured).  The corpus
-carries no fault plan, so these cases are what hold the recovery
-transport's event count besides the benchmark's ``lossy_stream``
-clock.  Deliberate asymmetries between the transports:
-
-* dry SRQ — fault-free deliveries block in ``srq.consume()`` (RNR
-  backpressure, no retransmission); the recovery transport discards,
-  sends no ack and retransmits (``send_srq_dry``: no retransmission
-  under ``none``; under ``drop30`` the links drop 9 packets and the
-  requester retransmits 11 times — the two extra found the pool dry);
-* empty private RQ / short receive WQE — same statuses on both, but
-  fault-free completes the error CQE at the responder's instant and
-  recovery carries it back on the ack leg (``send_rq_runs_empty``);
-* a bad-rkey RDMA read completes ``REM_ACCESS_ERR`` after the request
-  leg fault-free (``2.9999999999999997e-06``) and up front under any
-  link-fault plan (``2.5499999999999997e-06``).  That one is drift, not
-  design — pinned as it is; the ROADMAP item "One protocol definition
-  for the runtime and the model checker, the RC transport first" is
-  where it gets closed and ``read_bad_rkey`` deliberately re-pinned.
+Each case yields one record, :func:`left_behind`.  Clock and event
+count stay outside its state hash, so a re-pin that only moves event
+counts or rounds a clock reads as exactly that in the JSON diff.
+``python -m repro.check pin`` checks every suite and ``--update``
+rewrites them; an update is a behaviour change, made in its own commit
+with a CHANGES.md entry.
 """
 
 from __future__ import annotations
@@ -54,6 +26,7 @@ import hashlib
 import json
 import os
 import struct
+from functools import partial
 
 import numpy as np
 
@@ -61,15 +34,15 @@ from ..cluster import build_cluster
 from ..config import KB, ChannelConfig
 from ..faults import FaultPlan, LinkFaults
 from ..ib.types import Opcode, RecvRequest, Sge, WorkRequest
-from ..mpi.runner import DESIGNS, build_world
+from ..mpi.runner import DESIGNS, run_world
 from ..obs import Observability
 from . import oracle
 from .differ import run_spec
 from .generate import generate_spec
 from .spec import WorkloadSpec
 
-__all__ = ["left_behind", "Suite", "SUITES", "CORPUS_SEEDS", "recorded",
-           "pin", "read_json", "write_json"]
+__all__ = ["left_behind", "SUITES", "CORPUS_SEEDS", "load", "store",
+           "moved", "pin", "read_json", "write_json"]
 
 
 def read_json(path):
@@ -134,7 +107,8 @@ def corpus_spec(root, seed):
 def corpus_record(spec, design):
     obs = run_spec(spec, design)
     bad = oracle.check(spec, obs)
-    assert not bad, f"no longer conforms: {bad[0]}"
+    if bad:
+        raise AssertionError(f"no longer conforms: {bad[0]}")
     return left_behind(obs.elapsed, obs.events,
                        [obs.ranks, obs.violations])
 
@@ -155,8 +129,8 @@ DESIGN_PLANS = {
 }
 
 
-def _pattern(nbytes, salt):
-    return (np.arange(nbytes, dtype=np.uint32) * 131 + salt).astype(
+def _pattern(nbytes, salt, step=131):
+    return (np.arange(nbytes, dtype=np.uint32) * step + salt).astype(
         np.uint8)
 
 
@@ -220,13 +194,11 @@ SHAPES = {
 
 def design_record(design, geometry, plan, shape):
     prog, nranks = SHAPES[shape]
-    world = build_world(nranks, design, ch_cfg=GEOMETRIES[geometry],
-                        faults=DESIGN_PLANS[plan], nnodes=2,
-                        obs=Observability())
     out = []
-    for ctx in world.contexts:
-        world.cluster.spawn(prog(ctx, out), f"rank{ctx.rank}")
-    world.cluster.run()
+    _, world = run_world(nranks, prog, design=design, nnodes=2,
+                         ch_cfg=GEOMETRIES[geometry],
+                         faults=DESIGN_PLANS[plan], obs=Observability(),
+                         args=(out,))
     return left_behind(world.sim.now, world.sim.events_processed,
                        [hashlib.sha1(bytes(p)).hexdigest() for p in out],
                        world.cluster)
@@ -234,6 +206,22 @@ def design_record(design, geometry, plan, shape):
 
 # ---------------------------------------------------------------------
 # transport: verbs scenarios on one QP pair x fault plan
+#
+# QueuePair runs the pipelined-ack single shot when no link fault is
+# configured and the stop-and-wait PSN/ack-timeout machine otherwise
+# (FaultState.transport_active); the corpus has no fault plan, so these
+# cases hold the recovery transport.  Deliberate asymmetries:
+# * dry SRQ: fault-free delivery blocks in srq.consume() (RNR
+#   backpressure); recovery discards, sends no ack and retransmits
+#   (send_srq_dry/drop30: 9 drops, 11 retransmissions);
+# * empty private RQ or short receive WQE: same statuses, but the error
+#   CQE completes at the responder's instant fault-free and rides the
+#   ack leg under recovery (send_rq_runs_empty);
+# * drift, pinned as it is: a bad-rkey read completes REM_ACCESS_ERR
+#   after the request leg fault-free (2.9999999999999997e-06) but up
+#   front under recovery (2.5499999999999997e-06).  The ROADMAP item
+#   "One protocol definition for the runtime and the model checker,
+#   the RC transport first" closes it and re-pins read_bad_rkey.
 # ---------------------------------------------------------------------
 
 _N = 8192
@@ -248,10 +236,6 @@ TRANSPORT_PLANS = {
         drop_rate=0.1, corrupt_rate=0.1, delay_rate=0.2)),
     "dead": FaultPlan(seed=1, default_link=LinkFaults(drop_rate=1.0)),
 }
-
-
-def _bytes_pattern(nbytes, salt):
-    return bytes((i * 31 + salt) % 256 for i in range(nbytes))
 
 
 class _Rig:
@@ -269,8 +253,8 @@ class _Rig:
         self.qb = nb.hca.create_qp(nb.hca.create_cq(), srq=self.srq)
         self.qa.connect(self.qb)
         self.src, self.dst = na.alloc(_N), nb.alloc(_N)
-        self.src.write(_bytes_pattern(_N, 1))
-        self.dst.write(_bytes_pattern(_N, 2))
+        self.src.write(_pattern(_N, 1, step=31))
+        self.dst.write(_pattern(_N, 2, step=31))
         self.lkey = na.hca.pd.register(self.src.addr, _N).lkey
         self.rmr = nb.hca.pd.register(self.dst.addr, _N)
         self.ordinal = {}          # wr_id -> order of creation
@@ -441,103 +425,75 @@ def transport_record(scenario, plan):
 # suites, storage and the check
 # ---------------------------------------------------------------------
 
-class Suite:
-    """A named set of cases, ``key -> thunk returning a record``,
-    stored as one sorted JSON table under ``<root>/pins/``."""
-
-    def __init__(self, name, cases):
-        self.name = name
-        self._cases = cases
-
-    def cases(self, root):
-        return self._cases(root)
-
-    def path(self, root):
-        return os.path.join(root, "pins", f"{self.name}.json")
-
-    def read(self, root):
-        return read_json(self.path(root))
-
-    def write(self, root, records):
-        write_json(self.path(root), records)
+#: suite name -> (root -> {key: case}); a case returns one record
+SUITES = {
+    "corpus": lambda root: {
+        f"{seed}/{d}": partial(corpus_record, spec, d)
+        for seed, spec in ((n, corpus_spec(root, n)) for n in CORPUS_SEEDS)
+        for d in DESIGNS},
+    "design": lambda root: {
+        f"{d}/{g}/{p}/{s}": partial(design_record, d, g, p, s)
+        for d in DESIGNS for g in GEOMETRIES for p in DESIGN_PLANS
+        for s in SHAPES},
+    "transport": lambda root: {
+        f"{s.__name__}/{p}": partial(transport_record, s, p)
+        for s in SCENARIOS for p in TRANSPORT_PLANS},
+}
 
 
-class _CorpusSuite(Suite):
-    """One file per seed: the spec and, per design, its record."""
-
-    def read(self, root):
-        return {f"{seed}/{design}": rec for seed in CORPUS_SEEDS
-                for design, rec in read_json(
-                    corpus_path(root, seed))["pins"].items()}
-
-    def write(self, root, records):
-        for seed in CORPUS_SEEDS:
-            write_json(corpus_path(root, seed), {
-                "spec": corpus_spec(root, seed).to_dict(),
-                "pins": {k.split("/", 1)[1]: rec
-                         for k, rec in records.items()
-                         if k.split("/", 1)[0] == str(seed)}})
+def _table(root, name):
+    return os.path.join(root, "pins", f"{name}.json")
 
 
-def _corpus_cases(root):
-    cases = {}
+def load(root, name):
+    """One suite's stored records, ``key -> record``."""
+    if name != "corpus":
+        return read_json(_table(root, name))
+    return {f"{seed}/{d}": rec for seed in CORPUS_SEEDS
+            for d, rec in read_json(corpus_path(root, seed))["pins"].items()}
+
+
+def store(root, name, records):
+    if name != "corpus":
+        return write_json(_table(root, name), records)
     for seed in CORPUS_SEEDS:
-        spec = corpus_spec(root, seed)
-        for design in DESIGNS:
-            cases[f"{seed}/{design}"] = (
-                lambda spec=spec, design=design: corpus_record(spec, design))
-    return cases
+        mine = {k.split("/", 1)[1]: rec for k, rec in records.items()
+                if k.startswith(f"{seed}/")}
+        write_json(corpus_path(root, seed), {
+            "spec": corpus_spec(root, seed).to_dict(), "pins": mine})
 
 
-def _design_cases(root):
-    return {f"{d}/{g}/{p}/{s}":
-            (lambda d=d, g=g, p=p, s=s: design_record(d, g, p, s))
-            for d in DESIGNS for g in GEOMETRIES for p in DESIGN_PLANS
-            for s in SHAPES}
-
-
-def _transport_cases(root):
-    return {f"{s.__name__}/{p}":
-            (lambda s=s, p=p: transport_record(s, p))
-            for s in SCENARIOS for p in TRANSPORT_PLANS}
-
-
-CORPUS = _CorpusSuite("corpus", _corpus_cases)
-DESIGN = Suite("design", _design_cases)
-TRANSPORT = Suite("transport", _transport_cases)
-SUITES = (CORPUS, DESIGN, TRANSPORT)
-
-
-def run_case(thunk):
+def run_case(case):
     """The case's record, or ``{"error": <exception type>}``."""
     try:
-        return thunk()
+        return case()
     except Exception as exc:
         return {"error": type(exc).__name__}
 
 
-def recorded(suite, root, keep=lambda key: True):
-    """Run the suite's cases whose key passes ``keep``."""
-    return {k: run_case(thunk) for k, thunk in suite.cases(root).items()
-            if keep(k)}
+def moved(root, name, keep=lambda key: True, suites=SUITES):
+    """``{key: (pinned, got)}`` for every selected key whose record
+    differs from the stored one (or exists on one side only)."""
+    got = {k: run_case(case) for k, case in suites[name](root).items()
+           if keep(k)}
+    want = {k: rec for k, rec in load(root, name).items() if keep(k)}
+    return {k: (want.get(k), got.get(k)) for k in sorted(got.keys() | want)
+            if want.get(k) != got.get(k)}
 
 
-def pin(root="tests", update=False, suites=SUITES):
-    """Check every suite against its stored records (exit status 1 and
-    one line per differing key on a mismatch), or with ``update``
-    rewrite the stored records."""
-    failed = 0
-    for suite in suites:
-        got = recorded(suite, root)
+def pin(root, update=False, suites=SUITES):
+    """Check every suite against its stored records (status 1 and one
+    line per moved key on a mismatch); ``update`` rewrites them."""
+    failed = False
+    for name, cases in suites.items():
         if update:
-            suite.write(root, got)
-            print(f"{suite.name}: wrote {len(got)} records")
+            store(root, name, {k: run_case(case)
+                               for k, case in cases(root).items()})
+            print(f"{name}: rewritten")
             continue
-        want = suite.read(root)
-        bad = sorted(k for k in got.keys() | want.keys()
-                     if got.get(k) != want.get(k))
-        for k in bad:
-            print(f"{suite.name} {k}: pinned {want.get(k)} got {got.get(k)}")
-        print(f"{suite.name}: {len(got) - len(bad)}/{len(got)} match")
-        failed += bool(bad)
-    return 1 if failed else 0
+        bad = moved(root, name, suites=suites)
+        for k, (want, got) in bad.items():
+            print(f"{name} {k}: pinned {want} got {got}")
+        print(f"{name}: {len(bad)} moved")
+        failed |= bool(bad)
+    return int(failed)

@@ -1,8 +1,8 @@
 """Both HCA transports, event for event: each row of
 ``tests/pins/transport.json`` is one verbs scenario under one fault
-plan (:mod:`repro.check.pins` explains the cases and the transports'
-deliberate asymmetries).  A diff is a behaviour change; re-pin only
-deliberately, with ``python -m repro.check pin --update``."""
+plan (:mod:`repro.check.pins` lists the transports' deliberate
+asymmetries).  A diff is a behaviour change: re-pin only deliberately,
+with ``python -m repro.check pin --update``."""
 
 import os
 
@@ -11,10 +11,9 @@ import pytest
 from repro.check import pins
 
 TESTS = os.path.dirname(__file__)
-PINNED = pins.TRANSPORT.read(TESTS)
-CASES = pins.TRANSPORT.cases(TESTS)
 
 
-@pytest.mark.parametrize("key", CASES, ids=lambda k: k.replace("/", "-"))
+@pytest.mark.parametrize("key", pins.SUITES["transport"](TESTS),
+                         ids=lambda key: key.replace("/", "-"))
 def test_transport_digest(key):
-    assert pins.run_case(CASES[key]) == PINNED.get(key)
+    assert pins.moved(TESTS, "transport", lambda k: k == key) == {}

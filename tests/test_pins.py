@@ -1,68 +1,63 @@
 """The pin machinery of :mod:`repro.check.pins`: each suite stores
 exactly its cases, the writer is canonical, and a check names the row
-that moved.  The pinned cases themselves run in
-``tests/test_golden_replays.py``, ``tests/test_design_digest.py`` and
-``tests/test_hca_transport_digest.py``."""
+that moved.  The pinned cases run in ``test_golden_replays.py``,
+``test_design_digest.py`` and ``test_hca_transport_digest.py``."""
 
 import json
-import os
 import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.check import pins
 
-TESTS = os.path.dirname(__file__)
+TESTS = Path(__file__).parent
 
 
-@pytest.mark.parametrize("suite", pins.SUITES, ids=lambda s: s.name)
-def test_stored_keys_are_the_cases(suite):
-    assert sorted(suite.read(TESTS)) == sorted(suite.cases(TESTS))
+@pytest.mark.parametrize("name", pins.SUITES)
+def test_stored_keys_are_the_cases(name):
+    assert sorted(pins.load(TESTS, name)) == \
+        sorted(pins.SUITES[name](TESTS))
 
 
 def test_writer_round_trip(tmp_path):
-    path = str(tmp_path / "pins" / "t.json")
-    pins.write_json(path, {"b/2": {"state": "ff", "events": 2,
-                                   "clock": "1e-06"},
-                           "a/1": {"events": 1, "clock": "0.5",
-                                   "state": "00"}})
-    with open(path, "rb") as fh:
-        first = fh.read()
-    pins.write_json(path, pins.read_json(path))
-    with open(path, "rb") as fh:
-        assert fh.read() == first
+    path = tmp_path / "t.json"
+    pins.write_json(str(path), {"b": {"state": "ff", "events": 2},
+                                "a": {"events": 1, "clock": "0.5"}})
+    first = path.read_bytes()
+    pins.write_json(str(path), pins.read_json(path))
+    assert path.read_bytes() == first
     assert first.endswith(b"}\n")
-    doc = json.loads(first)
-    assert list(doc) == ["a/1", "b/2"]
-    assert list(doc["b/2"]) == ["clock", "events", "state"]
+    assert list(json.loads(first)) == ["a", "b"]
+    assert list(json.loads(first)["b"]) == ["events", "state"]
 
 
-@pytest.mark.parametrize("suite", pins.SUITES, ids=lambda s: s.name)
-def test_rewriting_the_stored_records_is_byte_identical(suite, tmp_path):
+@pytest.mark.parametrize("name", pins.SUITES)
+def test_storing_the_loaded_records_is_byte_identical(name, tmp_path):
     # the corpus writer keeps each file's stored spec
-    shutil.copytree(os.path.join(TESTS, "corpus"), tmp_path / "corpus")
-    suite.write(str(tmp_path), suite.read(TESTS))
+    shutil.copytree(TESTS / "corpus", tmp_path / "corpus")
+    pins.store(str(tmp_path), name, pins.load(TESTS, name))
     for path in tmp_path.rglob("*.json"):
-        with open(os.path.join(TESTS, path.relative_to(tmp_path)),
-                  "rb") as fh:
-            assert path.read_bytes() == fh.read(), path
+        rel = path.relative_to(tmp_path)
+        assert path.read_bytes() == (TESTS / rel).read_bytes(), rel
 
 
 def test_check_names_the_edited_row(tmp_path, capsys):
-    stub = pins.Suite("stub", lambda root: {
+    stub = {"stub": lambda root: {
         "one": lambda: pins.left_behind(1e-6, 3, ["a"]),
         "two": lambda: pins.left_behind(2e-6, 5, ["b"]),
-        "raises": lambda: 1 // 0,
-    })
+        "raises": lambda: 1 // 0}}
     root = str(tmp_path)
-    assert pins.pin(root, update=True, suites=[stub]) == 0
-    assert pins.pin(root, suites=[stub]) == 0
-    table = stub.read(root)
+    assert pins.pin(root, update=True, suites=stub) == 0
+    assert pins.pin(root, suites=stub) == 0
+    table = pins.load(root, "stub")
     assert table["raises"] == {"error": "ZeroDivisionError"}
     table["two"]["events"] = 6
-    stub.write(root, table)
+    pins.store(root, "stub", table)
     capsys.readouterr()
-    assert pins.pin(root, suites=[stub]) == 1
-    named = [line for line in capsys.readouterr().out.splitlines()
-             if "pinned" in line]
+    assert pins.pin(root, suites=stub) == 1
+    named = [ln for ln in capsys.readouterr().out.splitlines()
+             if "pinned" in ln]
     assert len(named) == 1 and named[0].startswith("stub two:")
+    assert pins.moved(root, "stub", suites=stub) == {
+        "two": (dict(table["two"]), pins.left_behind(2e-6, 5, ["b"]))}

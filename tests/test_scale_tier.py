@@ -9,9 +9,9 @@ channel with three workloads — a neighbour ring, a recursive-doubling
 allreduce and a dissemination barrier — at 128, 256 and 512 ranks,
 asserting for each:
 
-* **digest stability** — two independently built worlds produce
-  bit-for-bit the same run fingerprint (simulated end time to the
-  last ulp, engine callback count, every rank's return value).  Any
+* **digest stability** — two independently built worlds leave
+  bit-for-bit the same pin record (simulated end time to the last
+  ulp, engine callback count, every rank's return value).  Any
   hidden nondeterminism at scale (iteration over an unordered set, an
   allocation-dependent tie-break) shows up here first;
 * **a wall ceiling** — generous (~4x a warm development machine) so
@@ -22,13 +22,12 @@ slow tier; see docs/TESTING.md.
 """
 
 import gc
-import hashlib
-import json
 import time
 
 import numpy as np
 import pytest
 
+from repro.check.pins import left_behind
 from repro.mpi import run_world
 from repro.mpi.runner import build_world
 
@@ -92,22 +91,11 @@ def _expected(workload, nranks, results):
         assert results == list(range(nranks))
 
 
-def _fingerprint(results, world):
-    """Bit-for-bit run fingerprint: the exact simulated end time, the
-    engine callback count and every rank's return value."""
-    body = json.dumps({"now": repr(world.sim.now),
-                       "events": world.sim.events_processed,
-                       "results": results},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(body.encode(), digest_size=12).hexdigest()
-
-
-@pytest.mark.parametrize("nranks", [128, 256, 512])
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_scale(workload, nranks):
-    prog = WORKLOADS[workload]
-    ceiling = WALL_CEILING_S[(workload, nranks)]
-    digests = []
+def _run_twice(design, workload, nranks, ceiling):
+    """Two independently built worlds leave the same record (exact end
+    time, engine callback count, every rank's return value), each
+    within the wall ceiling."""
+    records = []
     for attempt in range(2):
         # A finished world is one big reference cycle; left to the
         # next automatic collection it would be reclaimed *inside*
@@ -117,17 +105,25 @@ def test_scale(workload, nranks):
         # previous attempt's teardown.
         gc.collect()
         t0 = time.perf_counter()
-        results, world = run_world(nranks, prog, design=DESIGN)
+        results, world = run_world(nranks, WORKLOADS[workload],
+                                   design=design)
         wall = time.perf_counter() - t0
         _expected(workload, nranks, results)
-        digests.append(_fingerprint(results, world))
+        records.append(left_behind(world.sim.now,
+                                   world.sim.events_processed, results))
         del results, world
         assert wall < ceiling, (
-            f"{workload}@{nranks} run {attempt} took {wall:.1f}s "
-            f"(ceiling {ceiling}s)")
-    assert digests[0] == digests[1], (
-        f"{workload}@{nranks} is nondeterministic across two "
+            f"{design} {workload}@{nranks} run {attempt} took "
+            f"{wall:.1f}s (ceiling {ceiling}s)")
+    assert records[0] == records[1], (
+        f"{design} {workload}@{nranks} is nondeterministic across two "
         f"identically configured runs")
+
+
+@pytest.mark.parametrize("nranks", [128, 256, 512])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_scale(workload, nranks):
+    _run_twice(DESIGN, workload, nranks, WALL_CEILING_S[(workload, nranks)])
 
 
 # ---------------------------------------------------------------------
@@ -148,26 +144,10 @@ SRQ_WALL_CEILING_S = {
 @pytest.mark.parametrize("nranks", [256, 512])
 @pytest.mark.parametrize("workload", ["allreduce", "ring"])
 def test_scale_srq(workload, nranks):
-    """Same digest-stability + wall-ceiling contract as the basic
-    cells, on the shared-pool channel with on-demand connections."""
-    prog = WORKLOADS[workload]
-    ceiling = SRQ_WALL_CEILING_S[(workload, nranks)]
-    digests = []
-    for attempt in range(2):
-        gc.collect()
-        t0 = time.perf_counter()
-        results, world = run_world(nranks, prog,
-                                   design=SRQ_DESIGN)
-        wall = time.perf_counter() - t0
-        _expected(workload, nranks, results)
-        digests.append(_fingerprint(results, world))
-        del results, world
-        assert wall < ceiling, (
-            f"srq {workload}@{nranks} run {attempt} took {wall:.1f}s "
-            f"(ceiling {ceiling}s)")
-    assert digests[0] == digests[1], (
-        f"srq {workload}@{nranks} is nondeterministic across two "
-        f"identically configured runs")
+    """Same contract as the basic cells, on the shared-pool channel
+    with on-demand connections."""
+    _run_twice(SRQ_DESIGN, workload, nranks,
+               SRQ_WALL_CEILING_S[(workload, nranks)])
 
 
 def test_scale_srq_pinned_bytes_per_rank_flat():
