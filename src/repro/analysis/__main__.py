@@ -9,18 +9,15 @@
 ``shadow-run``
     execute a module/script with the RDMA shadow-memory sanitizer
     force-enabled (``REPRO_SHADOW=1``);
-``mutcheck``
-    prove the linter + sanitizer catch the canned bug corpus without
-    the differential oracle (exit 1 below ``--expect``);
 ``modelcheck``
     exhaustively explore the transcribed protocol state machines
     (exit 1 on a clean-tree violation; ``--mutations`` instead
     requires every seeded model bug to be caught, writing the
-    counterexample charts to ``--out``);
-``deadlock-replay``
-    apply one catalogued mutation and run its spec under the
-    wait-for-graph deadlock detector, printing the diagnosis (exit 0
-    when a DeadlockError was raised and diagnosed).
+    counterexample charts to ``--out``).
+
+The mutation matrix, which runs every catalogued bug through these
+prongs and the differential oracle, is ``python -m repro.check
+mutate``.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from .lint import run_lint
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     report = run_lint(
-        root=Path(args.root) if args.root else None,
         rule_ids=args.rules.split(",") if args.rules else None,
         baseline=Path(args.baseline) if args.baseline else None)
     if args.json:
@@ -49,7 +45,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    report = run_lint(root=Path(args.root) if args.root else None)
+    report = run_lint()
     write_baseline(report, Path(args.out))
     print(f"baseline: {len(report.findings)} finding(s) -> {args.out}")
     return 0
@@ -57,8 +53,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_shadow_run(args: argparse.Namespace) -> int:
     os.environ["REPRO_SHADOW"] = "1"
-    if args.strict is not None:
-        os.environ["REPRO_SHADOW_STRICT"] = "1" if args.strict else "0"
     sys.argv = [args.target] + list(args.target_args)
     if args.module:
         runpy.run_module(args.target, run_name="__main__",
@@ -66,15 +60,6 @@ def _cmd_shadow_run(args: argparse.Namespace) -> int:
     else:
         runpy.run_path(args.target, run_name="__main__")
     return 0
-
-
-def _cmd_mutcheck(args: argparse.Namespace) -> int:
-    from .mutcheck import check_mutations, format_results
-
-    results = check_mutations(dynamic=not args.static_only)
-    print(format_results(results))
-    caught = sum(r.caught for r in results)
-    return 0 if caught >= args.expect else 1
 
 
 def _cmd_modelcheck(args: argparse.Namespace) -> int:
@@ -86,16 +71,18 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
               f"{sorted(MODELS)}")
         return 2
     names = [args.model] if args.model else sorted(MODELS)
-    por = not args.no_por
 
     if args.mutate is not None:
         if args.model is None:
             print("--mutate needs --model")
             return 2
+        if args.mutate not in MODELS[args.model].mutations:
+            print(f"unknown mutation {args.mutate!r} of {args.model!r}; "
+                  f"pick from {sorted(MODELS[args.model].mutations)}")
+            return 2
         cfg = config_for_mutation(args.model, args.mutate)
         result = check(
-            build_model(args.model, mutation=args.mutate, **cfg),
-            max_states=args.max_states, por=por)
+            build_model(args.model, mutation=args.mutate, **cfg))
         print(result.format())
         if result.violation is None:
             print("mutation not caught at this configuration")
@@ -109,9 +96,7 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
         for name in names:
             for mut in sorted(MODELS[name].mutations):
                 cfg = config_for_mutation(name, mut)
-                result = check(
-                    build_model(name, mutation=mut, **cfg),
-                    max_states=args.max_states, por=por)
+                result = check(build_model(name, mutation=mut, **cfg))
                 print(result.format())
                 if result.violation is None:
                     escaped += 1
@@ -132,8 +117,7 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
     bad = 0
     for name in names:
         for cfg in default_configs(name):
-            result = check(build_model(name, **cfg),
-                           max_states=args.max_states, por=por)
+            result = check(build_model(name, **cfg))
             knobs = ",".join(f"{k}={v}" for k, v in sorted(cfg.items()))
             print(f"{result.format()}  [{knobs}]")
             if result.violation is not None:
@@ -147,33 +131,6 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_deadlock_replay(args: argparse.Namespace) -> int:
-    from ..check import mutations as corpus
-    from ..check.differ import run_spec
-
-    muts = {m.name: m for m in corpus.CATALOG}
-    if args.list or args.mutation is None:
-        for name in sorted(muts):
-            print(name)
-        return 0
-    mut = muts.get(args.mutation)
-    if mut is None:
-        print(f"unknown mutation {args.mutation!r}; pick from "
-              f"{sorted(muts)}")
-        return 2
-    undo = mut.apply()
-    try:
-        obs = run_spec(mut.spec, mut.design)
-    finally:
-        undo()
-    if obs.error is not None and "DeadlockError" in obs.error:
-        print(obs.error)
-        return 0
-    print(f"no deadlock diagnosed under {args.mutation!r} "
-          f"(error={obs.error!r}, hang={obs.hang})")
-    return 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -181,8 +138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("lint", help="lint the source tree")
-    p.add_argument("--root", default=None,
-                   help="tree to lint (default: the installed src/)")
     p.add_argument("--rules", default=None,
                    help="comma-separated rule ids (default: all)")
     p.add_argument("--baseline", default=None,
@@ -192,7 +147,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser("baseline", help="record current findings")
-    p.add_argument("--root", default=None)
     p.add_argument("--out", default="lint-baseline.json")
     p.set_defaults(func=_cmd_baseline)
 
@@ -200,20 +154,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="run a script/module with REPRO_SHADOW=1")
     p.add_argument("-m", dest="module", action="store_true",
                    help="treat target as a module (like python -m)")
-    p.add_argument("--lax", dest="strict", action="store_const",
-                   const=False, default=None,
-                   help="record violations instead of raising")
     p.add_argument("target")
     p.add_argument("target_args", nargs=argparse.REMAINDER)
     p.set_defaults(func=_cmd_shadow_run)
-
-    p = sub.add_parser("mutcheck",
-                       help="validate tooling against the bug corpus")
-    p.add_argument("--expect", type=int, default=14,
-                   help="minimum mutations that must be caught")
-    p.add_argument("--static-only", action="store_true",
-                   help="skip the shadow (dynamic) prong")
-    p.set_defaults(func=_cmd_mutcheck)
 
     p = sub.add_parser("modelcheck",
                        help="exhaustively check the protocol models")
@@ -227,20 +170,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--out", default=None,
                    help="directory for counterexample charts "
                         "(with --mutations)")
-    p.add_argument("--max-states", type=int, default=500_000,
-                   help="state-count budget per configuration")
-    p.add_argument("--no-por", action="store_true",
-                   help="disable partial-order reduction")
     p.set_defaults(func=_cmd_modelcheck)
-
-    p = sub.add_parser("deadlock-replay",
-                       help="run a catalogued mutation under the "
-                            "wait-for-graph deadlock detector")
-    p.add_argument("--mutation", default=None,
-                   help="mutation name from the corpus catalog")
-    p.add_argument("--list", action="store_true",
-                   help="list catalogued mutation names")
-    p.set_defaults(func=_cmd_deadlock_replay)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -1,30 +1,29 @@
-"""Validate the analysis tooling against the canned bug corpus.
+"""The mutation matrix: every catalogued bug against every prong.
 
-``repro/check/mutations.py`` carries twelve known-dangerous protocol
-edits that the *differential oracle* is known to catch.  This module
-proves the static/dynamic analysis prongs catch (most of) the same
-bugs **without ever executing the oracle**:
+Each row of ``repro/check/mutations.py`` breaks one of the paper's
+protocol rules (§4.3's one-write chunk and tail update, §5's
+deregister-after-ACK, Fig. 10's ACK-after-read, ...).  The matrix
+runs every row through every prong:
 
-* **static prong** — extract each mutation factory's source from the
-  corpus with :func:`ast.get_source_segment` and lint it as if it
-  lived in a ring channel module; a finding means the linter would
-  have flagged the bug at review time;
-* **model prong** — mutations transcribed into the protocol state
-  machines (:mod:`repro.analysis.model`) are checked by exhaustive
-  small-config exploration: the checker demonstrates the bug as a
-  minimal counterexample trace, with no simulation run at all;
-* **dynamic prong** — for mutations the first two prongs cannot see
-  (the bug is in the *runtime interleaving*, not the source shape),
-  apply the monkey-patch, run the mutation's own tailored spec with
-  the shadow fabric installed (``REPRO_SHADOW=1``), and look for a
-  :class:`~repro.analysis.shadow.ShadowViolation` — or a
-  ``DeadlockError`` from the wait-for-graph detector
-  (:mod:`repro.obs.waitgraph`) — in the outcome.
+* **oracle** — a plain run of the row's spec, checked by the
+  differential oracle (:func:`repro.check.oracle.check`);
+* **lint** — the mutation factory's source, extracted with
+  :func:`ast.get_source_segment` and linted as if it lived in a ring
+  channel module: the rules that fire;
+* **model** — the row's transcription into the protocol machines
+  (``Mutation.model``), explored exhaustively: the counterexample's
+  violation kind, with no simulation run at all;
+* **runtime** — a second run with the shadow fabric installed
+  (``REPRO_SHADOW=1``): the shadow violation kinds, plus ``deadlock``
+  when the wait-for-graph detector (:mod:`repro.obs.waitgraph`)
+  diagnosed the hang.
 
-``oracle.check`` is never called — the point is that these cheap
-prongs stand on their own (`corrupt-payload`, a pure data-value bug
-with no protocol-shape signature, is the expected escape; it needs
-the full differential diff).
+:func:`cheap_matrix` fills the lint, model and runtime columns and
+never calls the oracle.  ``python -m repro.check mutate`` prints the
+full :func:`matrix` and exits 1 when :func:`floors_broken` names a
+floor: the oracle must catch every row, and the cheap prongs together
+at least :data:`CHEAP_FLOOR`.  ``corrupt-payload``, a pure data-value
+flip with no protocol-shape signature, is the expected cheap escape.
 """
 
 from __future__ import annotations
@@ -33,26 +32,15 @@ import ast
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
-from .core import Finding, lint_source
+from .core import lint_source
 
-__all__ = ["MutationCheck", "check_mutations", "format_results",
-           "run_under_shadow", "run_model_check", "MODEL_MAP"]
+__all__ = ["CHEAP_FLOOR", "MutantRow", "cheap_matrix", "matrix",
+           "floors_broken", "format_matrix"]
 
-#: runtime mutation name -> (model name, model mutation name): the
-#: transcription of each catalogued bug into the protocol machines of
-#: :mod:`repro.analysis.model.machines`.
-MODEL_MAP = {
-    "srq-credit-leak": ("srq-credit", "credit-leak"),
-    "srq-replenish-off-by-one": ("srq-credit",
-                                 "replenish-off-by-one"),
-    "srq-pool-write-race": ("srq-credit", "pool-early-recycle"),
-    "lazy-drop-rep": ("lazy-connect", "drop-rep-no-retry"),
-    "lazy-lost-wakeup": ("lazy-connect", "lost-wakeup"),
-    "early-deregister": ("rendezvous", "dereg-after-rts"),
-    "ack-before-read": ("rendezvous", "ack-before-read"),
-}
+#: rows the lint, model and runtime prongs must catch between them
+CHEAP_FLOOR = 14
 
 #: synthetic path for the extracted factory source: inside ``mpich2/``
 #: (contract rules in scope), filename mentions ``ring`` (chunk-layout
@@ -61,157 +49,134 @@ _SYNTHETIC_PATH = "src/repro/mpich2/channels/ring_mutant.py"
 
 
 @dataclass
-class MutationCheck:
-    """Outcome of running both prongs against one canned mutation."""
+class MutantRow:
+    """One catalogued mutation against every prong."""
 
     name: str
-    static_findings: List[Finding] = field(default_factory=list)
-    shadow_kinds: List[str] = field(default_factory=list)
-    shadow_error: Optional[str] = None
-    dynamic_ran: bool = False
-    #: model-checker result for the transcribed mutation (a
-    #: ``CheckResult`` whose violation is the counterexample), or
-    #: None when the mutation has no model transcription
-    model_result: Optional[Any] = None
-    #: the runtime DeadlockError diagnosis, when the wait-for-graph
-    #: detector converted the mutation's hang
-    deadlock_error: Optional[str] = None
+    #: lint rule ids that fired on the factory source
+    lint: List[str] = field(default_factory=list)
+    #: the model counterexample's violation kind; None when the row
+    #: has no transcription or the model passed
+    model: Optional[str] = None
+    #: shadow violation kinds, plus ``deadlock`` for a diagnosed hang
+    runtime: List[str] = field(default_factory=list)
+    #: the oracle's failure strings (empty: missed, or not run)
+    oracle: List[str] = field(default_factory=list)
 
     @property
-    def caught_static(self) -> bool:
-        return bool(self.static_findings)
-
-    @property
-    def caught_dynamic(self) -> bool:
-        return bool(self.shadow_kinds) or self.deadlock_error is not None
-
-    @property
-    def caught_model(self) -> bool:
-        return (self.model_result is not None
-                and self.model_result.violation is not None)
-
-    @property
-    def caught(self) -> bool:
-        return (self.caught_static or self.caught_model
-                or self.caught_dynamic)
+    def cheap(self) -> bool:
+        return bool(self.lint or self.model or self.runtime)
 
 
-def _factory_source(mutations_path: Path, func_name: str) -> str:
-    source = mutations_path.read_text()
-    tree = ast.parse(source)
-    for node in ast.walk(tree):
+def _lint_factory(source: str, func_name: str) -> List[str]:
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.FunctionDef) and node.name == func_name:
-            seg = ast.get_source_segment(source, node)
-            if seg:
-                return seg
-    raise LookupError(f"no factory {func_name!r} in {mutations_path}")
+            seg = ast.get_source_segment(source, node) or ""
+            return sorted({f.rule for f in
+                           lint_source(seg, path=_SYNTHETIC_PATH)})
+    raise LookupError(f"no mutation factory {func_name!r}")
 
 
-def _lint_factory(mutations_path: Path, func_name: str) -> List[Finding]:
-    src = _factory_source(mutations_path, func_name)
-    return lint_source(src, path=_SYNTHETIC_PATH)
+def _model_verdict(entry: Optional[Tuple[str, str]]) -> Optional[str]:
+    if entry is None:
+        return None
+    from .model import build_model, check, config_for_mutation
+
+    name, mutation = entry
+    result = check(build_model(name, mutation=mutation,
+                               **config_for_mutation(name, mutation)))
+    return None if result.violation is None else result.violation.kind
 
 
-def run_under_shadow(mut: Any) -> MutationCheck:
-    """Apply ``mut``, run its spec with the shadow fabric installed,
-    and report any violations.  Never consults the oracle."""
+def _run_mutant(mut: Any, shadow: bool) -> Any:
+    """Apply ``mut``, run its spec on its design and undo the patch;
+    returns the ``Observation``.  ``shadow`` sets ``REPRO_SHADOW``."""
     from ..check.differ import run_spec
-    from .shadow import last_shadow
 
-    result = MutationCheck(name=mut.name, dynamic_ran=True)
     saved = os.environ.get("REPRO_SHADOW")
-    os.environ["REPRO_SHADOW"] = "1"
+    os.environ["REPRO_SHADOW"] = "1" if shadow else "0"
     undo = mut.apply()
     try:
-        obs = run_spec(mut.spec, mut.design)
+        return run_spec(mut.spec, mut.design)
     finally:
         undo()
         if saved is None:
             del os.environ["REPRO_SHADOW"]
         else:
             os.environ["REPRO_SHADOW"] = saved
+
+
+def _runtime_verdicts(mut: Any) -> List[str]:
+    from .shadow import last_shadow
+
+    obs = _run_mutant(mut, shadow=True)
     shadow = last_shadow()
+    kinds: Set[str] = set()
     if shadow is not None:
-        result.shadow_kinds = [v.kind for v in shadow.violations]
-    if obs.error is not None and "ShadowViolation" in obs.error:
-        result.shadow_error = obs.error
-        if not result.shadow_kinds:  # pragma: no cover - belt and braces
-            result.shadow_kinds = ["unknown"]
+        kinds = {v.kind for v in shadow.violations}
     if obs.error is not None and "DeadlockError" in obs.error:
-        result.deadlock_error = obs.error
-    return result
+        kinds.add("deadlock")
+    return sorted(kinds)
 
 
-def run_model_check(mut_name: str) -> Optional[Any]:
-    """Check ``mut_name``'s transcription in the protocol machines;
-    returns the ``CheckResult`` (violation = the counterexample) or
-    None when the mutation has no model transcription."""
-    entry = MODEL_MAP.get(mut_name)
-    if entry is None:
-        return None
-    from .model import build_model, check, config_for_mutation
-
-    model_name, model_mut = entry
-    cfg = config_for_mutation(model_name, model_mut)
-    return check(build_model(model_name, mutation=model_mut, **cfg))
-
-
-def check_mutations(catalog: Any = None, dynamic: bool = True,
-                    mutations_path: Optional[Path] = None
-                    ) -> List[MutationCheck]:
-    """Run both prongs over the canned corpus.
-
-    The dynamic prong only runs for mutations the linter missed (it
-    costs a full simulated workload per mutation); pass
-    ``dynamic=False`` for a lint-only pass."""
+def cheap_matrix() -> List[MutantRow]:
+    """The lint, model and runtime columns for every catalogued
+    mutation.  Never calls the oracle."""
     from ..check import mutations as corpus
 
-    if catalog is None:
-        catalog = corpus.CATALOG
-    if mutations_path is None:
-        mutations_path = Path(corpus.__file__)
-    results: List[MutationCheck] = []
-    for mut in catalog:
-        check = MutationCheck(name=mut.name)
-        check.static_findings = _lint_factory(mutations_path,
-                                              mut.apply.__name__)
-        if not check.caught_static:
-            # the model prong is nearly free (exhaustive exploration
-            # of a few hundred states), so it always runs next
-            check.model_result = run_model_check(mut.name)
-        if dynamic and not check.caught:
-            model_result = check.model_result
-            check = run_under_shadow(mut)
-            check.static_findings = []
-            check.model_result = model_result
-        results.append(check)
-    return results
+    source = Path(corpus.__file__).read_text()
+    return [MutantRow(mut.name,
+                      lint=_lint_factory(source, mut.apply.__name__),
+                      model=_model_verdict(mut.model),
+                      runtime=_runtime_verdicts(mut))
+            for mut in corpus.CATALOG]
 
 
-def format_results(results: List[MutationCheck]) -> str:
-    lines = []
-    caught = 0
-    for r in results:
-        if r.caught_static:
-            how = ", ".join(sorted({f.rule for f in r.static_findings}))
-            verdict = f"CAUGHT (lint: {how})"
-        elif r.caught_model:
-            mr = r.model_result
-            verdict = (f"CAUGHT (model: {mr.label()} "
-                       f"{mr.violation.kind}, "
-                       f"{len(mr.violation.trace)}-step trace)")
-        elif r.shadow_kinds:
-            how = ", ".join(sorted(set(r.shadow_kinds)))
-            verdict = f"CAUGHT (shadow: {how})"
-        elif r.deadlock_error is not None:
-            first = r.deadlock_error.split("\n", 1)[0]
-            verdict = f"CAUGHT (deadlock: {first})"
-        elif r.dynamic_ran:
-            verdict = "escaped (both prongs)"
-        else:
-            verdict = "escaped (lint; dynamic skipped)"
-        caught += r.caught
-        lines.append(f"  {r.name:<24} {verdict}")
-    lines.append(f"mutations caught without the oracle: "
-                 f"{caught}/{len(results)}")
+def matrix() -> List[MutantRow]:
+    """:func:`cheap_matrix` plus the oracle column, from a plain run
+    of every row."""
+    from ..check import oracle
+    from ..check.mutations import CATALOG
+
+    rows = cheap_matrix()
+    for row, mut in zip(rows, CATALOG):
+        obs = _run_mutant(mut, shadow=False)
+        row.oracle = oracle.check(mut.spec, obs)
+    return rows
+
+
+def floors_broken(rows: Sequence[MutantRow]) -> List[str]:
+    """The floors ``rows`` break (empty: all hold).  The oracle must
+    catch every catalogued mutation; the cheap prongs at least
+    :data:`CHEAP_FLOOR` of them."""
+    from ..check.mutations import CATALOG
+
+    total = len(CATALOG)
+    oracle = sum(bool(r.oracle) for r in rows)
+    cheap = sum(r.cheap for r in rows)
+    broken: List[str] = []
+    if oracle < total:
+        broken.append(f"oracle caught {oracle}/{total}: it must catch "
+                      "every row")
+    if cheap < CHEAP_FLOOR:
+        broken.append(f"cheap prongs caught {cheap}/{total}: the floor "
+                      f"is {CHEAP_FLOOR}")
+    return broken
+
+
+def format_matrix(rows: Sequence[MutantRow]) -> str:
+    table = [("mutation", "oracle", "lint", "model", "runtime")]
+    table += [(r.name, "caught" if r.oracle else "MISSED",
+               ",".join(r.lint) or "-", r.model or "-",
+               ",".join(r.runtime) or "-") for r in rows]
+    widths = [max(len(line[i]) for line in table) for i in range(4)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+             + "  " + line[4] for line in table]
+    lines.append(
+        f"oracle {sum(bool(r.oracle) for r in rows)}/{len(rows)}; "
+        f"lint {sum(bool(r.lint) for r in rows)}, "
+        f"model {sum(bool(r.model) for r in rows)}, "
+        f"runtime {sum(bool(r.runtime) for r in rows)}; "
+        f"cheap prongs {sum(r.cheap for r in rows)}/{len(rows)} "
+        f"(floor {CHEAP_FLOOR})")
     return "\n".join(lines)

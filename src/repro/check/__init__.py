@@ -14,7 +14,9 @@ that claim into an executable property:
 - :mod:`~repro.check.shrink` — minimize a failing case to a small
   replay file;
 - :mod:`~repro.check.mutations` — known-dangerous protocol mutations
-  that the harness must catch (its own smoke test).
+  that the harness must catch; ``python -m repro.check mutate`` runs
+  each through the oracle, the linter, the model checker and the
+  shadow sanitizer (:mod:`repro.analysis.mutcheck`).
 - :mod:`~repro.check.pins` — the corpus, design and transport pins:
   one record format and one check (``python -m repro.check pin``).
 

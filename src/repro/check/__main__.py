@@ -7,7 +7,7 @@ Examples::
     python -m repro.check fuzz --budget 50 --time-budget 60 \\
         --perturb 2 --faults --out replays/       # CI smoke slice
     python -m repro.check replay replays/fail-7.json
-    python -m repro.check mutate --expect 15      # harness self-test
+    python -m repro.check mutate                  # mutation matrix
     python -m repro.check pin                     # check every pin
 """
 
@@ -21,7 +21,6 @@ import time
 from . import oracle
 from .differ import DEFAULT_DESIGNS, differential
 from .generate import generate_fault_plan, generate_spec
-from .mutations import CATALOG, run_smoke
 from .shrink import ShrinkResult, shrink, write_replay, replay as _replay
 
 
@@ -113,17 +112,14 @@ def cmd_replay(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    results = run_smoke()
-    detected = sum(r.detected for r in results)
-    width = max(len(r.name) for r in results)
-    for r in results:
-        mark = "caught" if r.detected else "MISSED"
-        detail = r.failures[0].splitlines()[0][:90] if r.failures \
-            else ""
-        print(f"{r.name:<{width}}  {mark}  {detail}")
-    print(f"mutation smoke: {detected}/{len(results)} detected "
-          f"(threshold {args.expect})")
-    return 0 if detected >= args.expect else 1
+    from ..analysis.mutcheck import floors_broken, format_matrix, matrix
+
+    rows = matrix()
+    print(format_matrix(rows))
+    broken = floors_broken(rows)
+    for line in broken:
+        print(f"floor broken: {line}")
+    return 1 if broken else 0
 
 
 def cmd_pin(args) -> int:
@@ -165,10 +161,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("mutate",
-                       help="mutation-testing smoke (harness "
-                            "self-test)")
-    p.add_argument("--expect", type=int, default=15,
-                   help="minimum mutations that must be caught")
+                       help="every catalogued bug against every prong "
+                            "(harness self-test)")
     p.set_defaults(fn=cmd_mutate)
 
     p = sub.add_parser("pin", help="check (or --update) the corpus, "

@@ -8,27 +8,27 @@ registration before the peer's RDMA read, acknowledging rendezvous
 data before the read completed (Fig. 10's completion rules), matching
 violations, unexpected-path copy bugs, and the shared-receive-pool
 hazards the ``srq`` design introduces (leaked credits, receive slots
-recycled before copy-out).  The smoke runner applies
-each mutation, runs a small tailored spec through the conformance
-check, and verifies the harness *catches* it (expected-model
-mismatch, matching-rules violation, hang, or error).
+recycled before copy-out).  Each row carries a small tailored spec
+and, where one exists, its transcription into the protocol models.
 
-This is the harness testing itself: if a refactor ever weakens the
-oracle to the point that these canned bugs slide through, the smoke
-tier fails before the fuzzer silently goes blind.
+:mod:`repro.analysis.mutcheck` runs every row against every prong —
+the differential oracle, the linter, the model checker and the
+shadow sanitizer with the deadlock detector — and
+``python -m repro.check mutate`` prints that matrix.  This is the
+harness testing itself: if a refactor ever weakens a prong to the
+point that these canned bugs slide through, the matrix fails before
+the fuzzer silently goes blind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..config import KB
-from . import oracle
-from .differ import run_spec
 from .spec import (ComputePhase, P2PMessage, P2PPhase, WorkloadSpec)
 
-__all__ = ["Mutation", "MutationResult", "CATALOG", "run_smoke"]
+__all__ = ["Mutation", "CATALOG"]
 
 
 @dataclass
@@ -40,13 +40,9 @@ class Mutation:
     #: installs the bug; returns the undo callable.
     apply: Callable[[], Callable[[], None]] = field(repr=False,
                                                     default=None)
-
-
-@dataclass
-class MutationResult:
-    name: str
-    detected: bool
-    failures: List[str]
+    #: the same bug in the protocol models of
+    #: :mod:`repro.analysis.model`: (model name, model mutation name)
+    model: Optional[Tuple[str, str]] = None
 
 
 # ---------------------------------------------------------------------
@@ -405,13 +401,15 @@ CATALOG: List[Mutation] = [
     Mutation("early-deregister",
              "zero-copy source deregistered right after the RTS",
              "zerocopy", _zcopy_spec(),
-             _mut_early_deregister),
+             _mut_early_deregister,
+             model=("rendezvous", "dereg-after-rts")),
     Mutation("ack-before-read",
              "rendezvous ACK sent before the RDMA read completed "
              "(two messages: the duplicate completion-time ACK hits "
              "the sender while the second operation is in flight)",
              "zerocopy", _zcopy_spec(n=2),
-             _mut_ack_before_read),
+             _mut_ack_before_read,
+             model=("rendezvous", "ack-before-read")),
     Mutation("corrupt-payload",
              "first payload byte of each DATA chunk flipped",
              "pipeline", _stream_spec(),
@@ -439,42 +437,31 @@ CATALOG: List[Mutation] = [
              "explicit SRQ credit marked sent but never written "
              "(sender starves at the credit window)",
              "srq", _srq_spec(),
-             _mut_credit_marked_sent),
+             _mut_credit_marked_sent,
+             model=("srq-credit", "credit-leak")),
     Mutation("srq-pool-write-race",
              "shared receive slot recycled at CQE time, before "
              "copy-out (arriving data can overwrite unread slots)",
              "srq", _srq_spec(),
-             _mut_srq_pool_write_race),
+             _mut_srq_pool_write_race,
+             model=("srq-credit", "pool-early-recycle")),
     Mutation("srq-replenish-off-by-one",
              "explicit-credit threshold off by one: the replenish "
              "never fires and the sender starves",
              "srq", _srq_spec(),
-             _mut_srq_replenish_off_by_one),
+             _mut_srq_replenish_off_by_one,
+             model=("srq-credit", "replenish-off-by-one")),
     Mutation("lazy-drop-rep",
              "on-demand connect REP leg dropped with no retry timer "
              "(initiator blocks in connect() forever)",
              "srq-lazy", _lazy_spec(),
-             _mut_lazy_drop_rep),
+             _mut_lazy_drop_rep,
+             model=("lazy-connect", "drop-rep-no-retry")),
     Mutation("lazy-lost-wakeup",
              "established handshake never signals the pair event "
              "(coalesced connector sleeps forever)",
              "srq-lazy", _lazy_spec(bidir=True),
-             _mut_lazy_lost_wakeup),
+             _mut_lazy_lost_wakeup,
+             model=("lazy-connect", "lost-wakeup")),
 ]
 
-
-def run_smoke(catalog: Optional[List[Mutation]] = None
-              ) -> List[MutationResult]:
-    """Apply each mutation, run its spec, and record whether the
-    conformance check caught the bug."""
-    results = []
-    for mut in (catalog if catalog is not None else CATALOG):
-        undo = mut.apply()
-        try:
-            obs = run_spec(mut.spec, mut.design)
-            failures = oracle.check(mut.spec, obs)
-        finally:
-            undo()
-        results.append(MutationResult(mut.name, bool(failures),
-                                      failures))
-    return results

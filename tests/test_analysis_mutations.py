@@ -1,8 +1,8 @@
-"""The acceptance gate for the analysis tooling: the linter, the
-protocol model checker, and the shadow sanitizer + deadlock detector
-together must catch at least 13 of the 15 canned protocol bugs in
-``repro/check/mutations.py`` — without ever invoking the differential
-oracle."""
+"""The oracle-free half of the mutation matrix: the linter, the
+protocol model checker and the runtime prong (shadow sanitizer +
+deadlock detector) together must catch ``CHEAP_FLOOR`` of the 15
+canned protocol bugs in ``repro/check/mutations.py`` without ever
+invoking the differential oracle.  ``EXPECTED`` pins every cell."""
 
 import pytest
 
@@ -10,11 +10,33 @@ from repro.analysis import mutcheck
 from repro.check import oracle
 from repro.check.mutations import CATALOG
 
+DL = {"deadlock"}
+#: per row: (lint rules, model verdict, runtime verdicts), as measured
+EXPECTED = {
+    "header-before-payload": ({"ring-write-torn"}, None, DL),
+    "skip-tail-update": ({"credit-publish", "silent-generator"}, None, DL),
+    "ignore-credits": ({"dead-protocol-param"}, None, DL),
+    "early-deregister": ({"zc-dereg-before-ack"}, "invariant",
+                         {"use-after-deregister"}),
+    "ack-before-read": ({"ack-before-read-done"}, "invariant", set()),
+    "corrupt-payload": (set(), None, set()),
+    "wrong-tag": ({"header-identity-arith"}, None, DL),
+    "wrong-source": ({"header-identity-arith"}, None, DL),
+    "skip-unexpected-copy": ({"silent-generator"}, None, set()),
+    "match-ignores-tag": ({"dead-protocol-param"}, None, set()),
+    "srq-credit-leak": ({"credit-publish", "silent-generator"},
+                        "deadlock", DL),
+    "srq-pool-write-race": (set(), "invariant", {"srq-early-recycle"}),
+    "srq-replenish-off-by-one": (set(), "deadlock", DL),
+    "lazy-drop-rep": (set(), "deadlock", DL),
+    "lazy-lost-wakeup": (set(), "deadlock", DL),
+}
+
 
 @pytest.fixture(scope="module")
-def results(request):
-    """One static+dynamic sweep over the corpus, with the oracle
-    nailed shut: any call proves the tooling cheated."""
+def rows():
+    """The cheap columns, with the oracle nailed shut: any call
+    proves the tooling cheated."""
     def _banned(*a, **kw):  # pragma: no cover - only on failure
         raise AssertionError(
             "analysis tooling consulted the differential oracle")
@@ -22,84 +44,61 @@ def results(request):
     saved = oracle.check
     oracle.check = _banned
     try:
-        return mutcheck.check_mutations()
+        return {r.name: r for r in mutcheck.cheap_matrix()}
     finally:
         oracle.check = saved
 
 
+def column(rows, i):
+    """(measured, expected) cells of column ``i`` of ``EXPECTED``."""
+    got = {n: (set(r.lint), r.model, set(r.runtime))[i]
+           for n, r in rows.items()}
+    return got, {n: e[i] for n, e in EXPECTED.items()}
+
+
 class TestCorpusCoverage:
-    def test_catches_at_least_thirteen(self, results):
-        caught = [r.name for r in results if r.caught]
-        assert len(results) == len(CATALOG) == 15
-        assert len(caught) >= 13, mutcheck.format_results(results)
+    def test_catches_at_least_thirteen(self, rows):
+        """Holds the cheap prongs to ``CHEAP_FLOOR`` (14 of 15)."""
+        assert list(rows) == [m.name for m in CATALOG] == list(EXPECTED)
+        assert sum(r.cheap for r in rows.values()) >= mutcheck.CHEAP_FLOOR
 
-    def test_model_prong_carries_the_interleaving_bugs(self, results):
-        """The four bugs with no lintable source shape are proven by
-        exhaustive exploration of their transcribed state machines —
-        a minimal counterexample trace, no simulation run at all."""
-        by_name = {r.name: r for r in results}
-        expected_model = {
-            "srq-pool-write-race": "invariant",
-            "srq-replenish-off-by-one": "deadlock",
-            "lazy-drop-rep": "deadlock",
-            "lazy-lost-wakeup": "deadlock",
-        }
-        for name, kind in expected_model.items():
-            r = by_name[name]
-            assert r.caught_model, name
-            assert r.model_result.violation.kind == kind, name
-            assert r.model_result.violation.trace, name
+    def test_model_prong_carries_the_interleaving_bugs(self, rows):
+        """Transcribed bugs are proven by exhaustive exploration of
+        their state machines, with no simulation run at all."""
+        got, want = column(rows, 1)
+        assert got == want
 
-    def test_static_prong_carries_the_shape_bugs(self, results):
-        by_name = {r.name: r for r in results}
-        expected_static = {
-            "header-before-payload": "ring-write-torn",
-            "skip-tail-update": "credit-publish",
-            "ignore-credits": "dead-protocol-param",
-            "ack-before-read": "ack-before-read-done",
-            "wrong-tag": "header-identity-arith",
-            "wrong-source": "header-identity-arith",
-            "skip-unexpected-copy": "silent-generator",
-            "match-ignores-tag": "dead-protocol-param",
-        }
-        for name, rule in expected_static.items():
-            r = by_name[name]
-            assert r.caught_static, name
-            assert rule in {f.rule for f in r.static_findings}, name
+    def test_static_prong_carries_the_shape_bugs(self, rows):
+        got, want = column(rows, 0)
+        assert got == want
 
-    def test_early_deregister_caught_by_shadow_too(self):
-        """The §5 ownership bug is the one the *dynamic* prong must
-        own: even if the lint shape check were deleted, the shadow
-        fabric sees the dead rkey on the wire."""
-        mut = next(m for m in CATALOG if m.name == "early-deregister")
-        check = mutcheck.run_under_shadow(mut)
-        assert check.caught_dynamic
-        assert "use-after-deregister" in check.shadow_kinds
-        assert check.shadow_error is not None
-        assert "ShadowViolation" in check.shadow_error
+    def test_early_deregister_caught_by_shadow_too(self, rows):
+        """The §5 ownership bug is seen by the shadow fabric (the dead
+        rkey on the wire) even if the lint shape check were deleted;
+        so is the SRQ slot recycled before copy-out."""
+        got, want = column(rows, 2)
+        assert {n: k - DL for n, k in got.items()} == \
+            {n: k - DL for n, k in want.items()}
+        assert "use-after-deregister" in rows["early-deregister"].runtime
 
-    def test_credit_leak_diagnosed_at_runtime_too(self):
-        """Even if the lint shape check were deleted, the leaked
-        credit surfaces dynamically: the wait-for-graph detector
-        converts the starved window into a DeadlockError naming the
-        cycle instead of a silent hang."""
-        mut = next(m for m in CATALOG if m.name == "srq-credit-leak")
-        check = mutcheck.run_under_shadow(mut)
-        assert check.caught_dynamic
-        assert check.deadlock_error is not None
-        assert "DeadlockError" in check.deadlock_error
-        assert "starved" in check.deadlock_error
+    def test_credit_leak_diagnosed_at_runtime_too(self, rows):
+        """The wait-for-graph detector turns every starved window and
+        lost handshake into a diagnosed ``DeadlockError``."""
+        got, want = column(rows, 2)
+        assert {n for n, k in got.items() if "deadlock" in k} == \
+            {n for n, k in want.items() if "deadlock" in k}
+        assert "deadlock" in rows["srq-credit-leak"].runtime
 
-    def test_corrupt_payload_is_the_known_escape(self, results):
+    def test_corrupt_payload_is_the_known_escape(self, rows):
         """A pure data-value flip has no protocol-shape signature and
         places bytes legally — only the differential oracle sees it.
         If this ever starts being 'caught', a rule has gone
         over-broad."""
-        by_name = {r.name: r for r in results}
-        assert not by_name["corrupt-payload"].caught
+        assert [n for n, r in rows.items() if not r.cheap] == \
+            ["corrupt-payload"]
 
-    def test_format_results_summarizes(self, results):
-        text = mutcheck.format_results(results)
-        assert "mutations caught without the oracle" in text
-        for r in results:
-            assert r.name in text
+    def test_format_results_summarizes(self, rows):
+        text = mutcheck.format_matrix(list(rows.values()))
+        assert "lint 10, model 7, runtime 11; cheap prongs 14/15" in text
+        for name in rows:
+            assert name in text

@@ -1,9 +1,20 @@
-"""Mutation-testing smoke: the harness must catch the canned protocol
-bugs, and the monkey-patches must restore the stack exactly."""
+"""The mutation matrix: the oracle must catch every canned protocol
+bug, the cheap prongs their floor, and the monkey-patches must
+restore the stack exactly."""
 
+import pytest
+
+from repro.analysis.model import MODELS
+from repro.analysis.mutcheck import (CHEAP_FLOOR, MutantRow,
+                                     floors_broken, matrix)
 from repro.check.differ import run_spec
-from repro.check.mutations import CATALOG, run_smoke
+from repro.check.mutations import CATALOG
 from repro.check import oracle
+
+
+@pytest.fixture(scope="module")
+def rows():
+    return matrix()
 
 
 def test_catalog_names_are_unique():
@@ -11,17 +22,25 @@ def test_catalog_names_are_unique():
     assert len(names) == len(set(names)) == 15
 
 
-def test_smoke_detects_the_canned_bugs():
-    """The hard floor is 8 (ISSUE constraint); the catalog is
-    currently tuned so all 15 are caught — if one regresses below the
-    floor the harness has gone blind to a whole bug class."""
-    results = run_smoke()
-    detected = [r.name for r in results if r.detected]
-    missed = [r.name for r in results if not r.detected]
-    assert len(detected) >= 8, f"missed: {missed}"
-    for r in results:
-        if r.detected:
-            assert r.failures
+def test_every_model_transcription_exists():
+    for m in CATALOG:
+        if m.model is not None:
+            assert m.model[1] in MODELS[m.model[0]].mutations, m.name
+
+
+def test_smoke_detects_the_canned_bugs(rows):
+    """The oracle catches all 15 and the cheap prongs 14: losing a
+    single catch means a prong has gone blind to a whole bug class."""
+    assert [r.name for r in rows if not r.oracle] == []
+    assert sum(r.cheap for r in rows) >= CHEAP_FLOOR
+    assert floors_broken(rows) == []
+
+
+def test_dropping_a_row_trips_a_floor(rows):
+    for i, row in enumerate(rows):
+        blind = MutantRow(row.name)  # no prong catches it
+        assert floors_broken(rows[:i] + [blind] + rows[i + 1:])
+        assert floors_broken(rows[:i] + rows[i + 1:])
 
 
 def test_each_mutation_undo_restores_the_stack():
@@ -35,42 +54,17 @@ def test_each_mutation_undo_restores_the_stack():
             f"{mut.name}: undo left the stack broken"
 
 
-def test_specific_detection_channels():
-    """Pin the *kind* of signal three representative mutations
-    produce, so a weakening oracle cannot pass by accident: a matching
-    bug must surface as a matching-rules violation, a data bug as a
-    model divergence, a flow-control bug as a *diagnosed deadlock*
-    (the wait-for-graph detector converts what used to be a silent
-    hang into a DeadlockError naming the cycle)."""
-    by_name = {m.name: m for m in CATALOG}
-
-    def run_one(name):
-        mut = by_name[name]
-        undo = mut.apply()
-        try:
-            obs = run_spec(mut.spec, mut.design)
-        finally:
-            undo()
-        return obs, oracle.check(mut.spec, obs)
-
-    obs, failures = run_one("match-ignores-tag")
-    assert obs.violations and any("matching rules" in f
-                                  for f in failures)
-
-    obs, failures = run_one("skip-unexpected-copy")
-    assert any("diverges from expected model" in f for f in failures)
-
-    obs, failures = run_one("ignore-credits")
-    assert obs.error and "DeadlockError" in obs.error
-    assert any("run error" in f for f in failures)
-
-    # the SRQ additions: a leaked credit starves the window (now a
-    # diagnosed deadlock naming the starved edge, not a silent hang);
-    # an early slot recycle breaks the pool's WQE accounting (error)
-    obs, failures = run_one("srq-credit-leak")
-    assert obs.error and "DeadlockError" in obs.error
-    assert "starved" in obs.error
-    assert any("run error" in f for f in failures)
-
-    obs, failures = run_one("srq-pool-write-race")
-    assert obs.error and any("run error" in f for f in failures)
+def test_specific_detection_channels(rows):
+    """Pin the *kind* of signal representative mutations produce, so
+    a weakening oracle cannot pass by accident: a matching bug
+    surfaces as a matching-rules violation, a data bug as a model
+    divergence, a flow-control bug as a *diagnosed deadlock* naming
+    the starved edge, an early SRQ slot recycle as a run error."""
+    failures = {r.name: "\n".join(r.oracle) for r in rows}
+    assert "matching rules" in failures["match-ignores-tag"]
+    assert "diverges from expected model" in \
+        failures["skip-unexpected-copy"]
+    assert "run error: DeadlockError" in failures["ignore-credits"]
+    assert "run error: DeadlockError" in failures["srq-credit-leak"]
+    assert "starved" in failures["srq-credit-leak"]
+    assert "run error" in failures["srq-pool-write-race"]

@@ -95,6 +95,12 @@ class TestHarness:
         with pytest.raises(ValueError, match="no mutation"):
             build_model("srq-credit", mutation="no-such-bug")
 
+    def test_cli_rejects_unknown_mutation(self, capsys):
+        from repro.analysis.__main__ import main
+        argv = ["modelcheck", "--model", "srq-credit", "--mutate", "nope"]
+        assert main(argv) == 2
+        assert "credit-leak" in capsys.readouterr().out
+
     def test_budget_is_enforced(self):
         cfg = default_configs("mux-pool")[-1]
         with pytest.raises(SearchBudgetExceeded):
