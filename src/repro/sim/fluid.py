@@ -49,10 +49,20 @@ an intermediate allocation *is* observable — a sub-byte residue that
 reference and the ``==`` comparison; docs/SIMULATOR.md names the three
 places where event *order* could in principle differ.
 
+Only the touched components
+---------------------------
+Two flows that share a resource are in one component, and max-min
+fairness is separable across components.  A re-solve allocates only
+the components reachable through ``res.flows`` from the routes of the
+flows started or finished since the last one; the other flows keep
+their rates.  Each component is solved alone, flows in ``_active``
+order: one component gets the arithmetic of a global solve, several
+differ from it by float rounding only (docs/SIMULATOR.md).
+
 Allocators
 ----------
 Two implementations of the same progressive-filling arithmetic, picked
-per re-solve from the size of the active set
+per component from its size
 (``_SCALAR_MAX_FLOWS``; measured table in docs/SIMULATOR.md):
 
 * small sets take the *scalar fold* — the historical per-dict loop,
@@ -89,6 +99,8 @@ on four facts, each locked down by tests:
 from __future__ import annotations
 
 import itertools
+import math
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,6 +120,10 @@ _SCALAR_MAX_FLOWS = 8
 #: from them are reproducible across runs, unlike ``id()``.
 _resource_uids = itertools.count()
 _flow_uids = itertools.count()
+#: stamps of the component walk: a resource or flow is visited in the
+#: current walk iff its ``_stamp`` equals the walk's generation
+_generations = itertools.count(1)
+_by_uid = attrgetter("uid")
 
 
 class FluidResource:
@@ -117,11 +133,11 @@ class FluidResource:
     """
 
     __slots__ = ("uid", "name", "capacity", "flows", "busy_time",
-                 "_busy_since", "bytes_served")
+                 "_busy_since", "bytes_served", "_stamp")
 
     def __init__(self, name: str, capacity: float):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        if not 0 < capacity < math.inf:
+            raise ValueError(f"capacity must be finite and > 0: {capacity}")
         self.uid = next(_resource_uids)
         self.name = name
         self.capacity = float(capacity)
@@ -130,6 +146,7 @@ class FluidResource:
         self.busy_time = 0.0
         self._busy_since: Optional[float] = None
         self.bytes_served = 0.0
+        self._stamp = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FluidResource {self.name} cap={self.capacity:.3g}>"
@@ -140,19 +157,19 @@ class Flow:
 
     __slots__ = ("uid", "nbytes", "remaining", "route", "rate", "done",
                  "label", "started_at", "finished_at", "_pairs",
-                 "_int_costs", "_scan", "_idx")
+                 "_int_costs", "_scan", "_idx", "_stamp")
 
     def __init__(self, nbytes: float,
                  route: Sequence[Tuple[FluidResource, float]],
                  label: str = ""):
         self.uid = next(_flow_uids)
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError(f"nbytes must be finite and >= 0: {nbytes}")
         if not route:
             raise ValueError("route must contain at least one resource")
         for _res, cost in route:
-            if cost <= 0:
-                raise ValueError("cost_per_byte must be positive")
+            if not 0 < cost < math.inf:
+                raise ValueError(f"cost_per_byte must be finite, > 0: {cost}")
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
         self.route = list(route)
@@ -186,9 +203,10 @@ class Flow:
         #: triples unpack without per-pair attribute lookups in the
         #: reallocation hot loop.
         self._scan = [(r.uid, c, r) for r, c in pairs]
-        #: position in FluidNetwork._active, stamped by the vector
-        #: solver at the start of each reallocation.
+        #: position in the flow list the vector solver is allocating,
+        #: stamped at the start of each allocation.
         self._idx = 0
+        self._stamp = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Flow {self.label} {self.remaining:.0f}/{self.nbytes:.0f}B"
@@ -211,10 +229,14 @@ class FluidNetwork:
         #: the advance to this timestamp left some flow with less than
         #: a byte to go (see _mark_dirty)
         self._residue = False
-        #: exact counters: ``transfer()`` calls and allocation passes
-        #: (``_reallocate()`` calls)
+        #: flows started or finished since the last re-solve: their
+        #: routes seed the components it re-solves
+        self._changed: List[Flow] = []
+        #: exact counters: ``transfer()`` calls, allocation passes
+        #: (``_reallocate()`` calls) and flows handed to an allocator
         self.transfers = 0
         self.resolves = 0
+        self.flows_solved = 0
 
     # -- public API ------------------------------------------------------
     def transfer(self, nbytes: float,
@@ -233,6 +255,7 @@ class FluidNetwork:
             return flow.done
         self._advance()
         self._active.append(flow)
+        self._changed.append(flow)
         for res, _cost in flow.route:
             res.flows.append(flow)
             if res._busy_since is None:
@@ -278,6 +301,7 @@ class FluidNetwork:
 
     def _detach(self, flow: Flow) -> None:
         self._active.remove(flow)
+        self._changed.append(flow)
         for res, _cost in flow.route:
             res.flows.remove(flow)
             if not res.flows and res._busy_since is not None:
@@ -310,15 +334,21 @@ class FluidNetwork:
             self._reallocate()
 
     def _reallocate(self) -> None:
-        """Progressive-filling max-min allocation, then schedule the
+        """Progressive-filling max-min allocation of every component
+        the changes since the last call touched, then schedule the
         next completion wakeup."""
         self.resolves += 1
-        if not self._active:
+        changed, self._changed = self._changed, []
+        active = self._active
+        if not active:
             return
-        if len(self._active) <= _SCALAR_MAX_FLOWS:
-            self._alloc_scalar()
-        else:
-            self._alloc_vector()
+        for flows in ([active] if len(active) == 1
+                      else self._components(changed)):
+            self.flows_solved += len(flows)
+            if len(flows) <= _SCALAR_MAX_FLOWS:
+                self._alloc_scalar(flows)
+            else:
+                self._alloc_vector(flows)
 
         # next completion
         next_done = float("inf")
@@ -345,12 +375,41 @@ class FluidNetwork:
                 return
             self._wake_handle = self.sim.call_in(next_done, self._wakeup)
 
+    def _components(self, changed: List[Flow]) -> List[List[Flow]]:
+        """The components of the flows sharing resources with the
+        ``changed`` flows' routes, each in ``_active`` (uid) order."""
+        gen = next(_generations)
+        n = len(self._active)
+        comps: List[List[Flow]] = []
+        for seed in [res for f in changed for res, _cost in f._pairs]:
+            if seed._stamp == gen:
+                continue
+            seed._stamp = gen
+            comp: List[Flow] = []
+            for flow in seed.flows:
+                if flow._stamp != gen:
+                    flow._stamp = gen
+                    comp.append(flow)
+            for flow in comp:  # grows while it is walked
+                if len(comp) == n:
+                    return [self._active]
+                for res, _cost in flow._pairs:
+                    if res._stamp != gen:
+                        res._stamp = gen
+                        for other in res.flows:
+                            if other._stamp != gen:
+                                other._stamp = gen
+                                comp.append(other)
+            if comp:
+                comp.sort(key=_by_uid)
+                comps.append(comp)
+        return comps
+
     # -- vector solver -----------------------------------------------------
-    def _alloc_vector(self) -> None:
-        """Numpy progressive filling, bit-for-bit equal to
-        :meth:`_alloc_scalar` (see the module docstring for the
+    def _alloc_vector(self, active: List[Flow]) -> None:
+        """Numpy progressive filling of ``active``, bit-for-bit equal
+        to :meth:`_alloc_scalar` (see the module docstring for the
         equivalence argument)."""
-        active = self._active
         # Column order = first appearance scanning active flows in
         # order — exactly the legacy weight-dict insertion order, so
         # index-based tie-breaks match the dict-iteration tie-breaks.
@@ -454,15 +513,15 @@ class FluidNetwork:
                 wl[j], residual[j] = 1.0, inf
 
     # -- scalar fold -------------------------------------------------------
-    def _alloc_scalar(self) -> None:
-        """The dict-based progressive-filling loop: the allocator for
-        small active sets, and the arithmetic :meth:`_alloc_vector` is
-        pinned against."""
+    def _alloc_scalar(self, active: List[Flow]) -> None:
+        """The dict-based progressive-filling loop over ``active``: the
+        allocator for small components, and the arithmetic
+        :meth:`_alloc_vector` is pinned against."""
         # residual capacity and unfixed cost-weight per resource
         residual: Dict[int, float] = {}
         weight: Dict[int, float] = {}
         flow_cost: Dict[int, Dict[int, float]] = {}
-        for flow in self._active:
+        for flow in active:
             flow.rate = 0.0
             costs: Dict[int, float] = {}
             for res, cost in flow.route:
@@ -475,7 +534,7 @@ class FluidNetwork:
                 costs[rid] = costs.get(rid, 0.0) + cost
             flow_cost[flow.uid] = costs
 
-        unfixed = list(self._active)
+        unfixed = list(active)
         level = 0.0
         while unfixed:
             # Which resource saturates first as all unfixed flows grow?

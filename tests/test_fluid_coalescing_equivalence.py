@@ -352,3 +352,35 @@ def test_pingpong_never_resolves_more_than_eagerly():
                 yield from mpi.send(b"p" * 64, dest=peer, tag=1)
 
     assert _resolves_per_transfer(2, pingpong, "piggyback") <= 2.0
+
+
+# -- what component-local re-solving buys, as exact counts ------------------
+
+def test_staggered_groups_solve_only_the_touched_components(monkeypatch):
+    """64 zero-copy ranks in eight 8-rank rings, each group starting
+    3 us after the one before: the groups' flows overlap in time but
+    not in resources, so a re-solve hands the allocator the touched
+    component only, not every active flow."""
+    active_sizes = []
+    real = FluidNetwork._reallocate
+
+    def spy(self):
+        active_sizes.append(len(self._active))
+        real(self)
+    monkeypatch.setattr(FluidNetwork, "_reallocate", spy)
+
+    def rings(mpi):
+        g, n = divmod(mpi.rank, 8)
+        base = mpi.rank - n
+        right, left = base + (n + 1) % 8, base + (n - 1) % 8
+        yield from mpi.compute(g * 3e-6)
+        for _ in range(3):
+            sreq = yield from mpi.isend(b"x" * 4096, right, tag=7)
+            yield from mpi.recv(source=left, tag=7)
+            yield from mpi.Wait(sreq)
+
+    _results, world = run_world(64, rings, design="zerocopy")
+    net = world.cluster.net
+    assert (net.transfers, net.flows_solved) == (1024, 1080)
+    # a global re-solve would have solved every active flow each time
+    assert 5 * net.flows_solved <= sum(active_sizes) == 30455

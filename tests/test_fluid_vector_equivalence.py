@@ -110,14 +110,14 @@ def test_solvers_bitwise_identical(scenario):
 
 @pytest.fixture
 def alloc_calls(monkeypatch):
-    """Spy on both allocators: ``(name, active-set size)`` per call."""
+    """Spy on both allocators: ``(name, component size)`` per call."""
     calls = []
     for name in ("_alloc_vector", "_alloc_scalar"):
         real = getattr(FluidNetwork, name)
         monkeypatch.setattr(
             FluidNetwork, name,
-            lambda self, name=name, real=real: (
-                calls.append((name, len(self._active))), real(self))[1])
+            lambda self, flows, name=name, real=real: (
+                calls.append((name, len(flows))), real(self, flows))[1])
     return calls
 
 
@@ -144,7 +144,8 @@ def test_cutover_pins_the_allocator(alloc_calls, solver, called):
 
 def test_dispatch_follows_active_set_size(alloc_calls):
     """Unpinned, a re-solve takes the scalar fold up to the cutover
-    and the vector solver above it."""
+    and the vector solver above it (one link: the component is the
+    whole active set)."""
     cut = fluid._SCALAR_MAX_FLOWS
     _staggered_finishes(cut + 3)
     assert alloc_calls == (
@@ -231,9 +232,9 @@ TINY = 1e-24
 @example(flows=_alltoall_group(), scale=TINY)
 def test_shaped_sets(flows, scale):
     net = _shaped(flows, scale)
-    net._alloc_vector()
+    net._alloc_vector(net._active)
     vector = [f.rate for f in net._active]
-    net._alloc_scalar()
+    net._alloc_scalar(net._active)
     assert vector == [f.rate for f in net._active]
     assert all(type(rate) is float for rate in vector)
 
@@ -251,3 +252,101 @@ def test_shared_bottleneck_exact_split():
             sim.run()
         assert a.triggered and b.triggered
         assert sim.now == 2e6 / 1e9
+
+
+# ---------------------------------------------------------------------
+# Separability: components are solved alone
+# ---------------------------------------------------------------------
+
+@st.composite
+def _grouped_sets(draw):
+    """``k`` disjoint resource groups, each carrying flows of distinct
+    sizes along routes inside the group: as flows finish, a group may
+    split into several components, linked through more than one hop."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    groups = [draw(st.lists(st.sampled_from(CAPACITIES),
+                            min_size=1, max_size=4)) for _ in range(k)]
+    flows = []
+    for _ in range(draw(st.integers(min_value=k, max_value=12))):
+        g = draw(st.integers(min_value=0, max_value=k - 1))
+        route = draw(st.lists(
+            st.tuples(st.integers(min_value=0, max_value=len(groups[g]) - 1),
+                      st.sampled_from(COSTS)), min_size=1, max_size=3))
+        nbytes = draw(st.integers(min_value=1, max_value=2_000_000))
+        flows.append((g, nbytes, route))
+    return groups, flows
+
+
+def _ncomponents(flows):
+    """Components of ``flows`` under sharing a resource."""
+    seen, n = set(), 0
+    for flow in flows:
+        if flow.uid in seen:
+            continue
+        n += 1
+        stack = [flow]
+        while stack:
+            f = stack.pop()
+            if f.uid not in seen:
+                seen.add(f.uid)
+                stack.extend(g for res, _c in f.route for g in res.flows)
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grouped_sets())
+def test_component_solves_match_one_global_solve(scenario):
+    """Max-min fairness is separable across components.  Solving each
+    alone skips the global ``level``'s sums over deltas of unrelated
+    components, so rates may differ by float rounding only, and not
+    at all when there is one component.  Checked at the start and
+    after every completion, against a global solve of the same set."""
+    groups, flows = scenario
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    res = [[FluidResource(f"g{g}r{i}", c) for i, c in enumerate(caps)]
+           for g, caps in enumerate(groups)]
+    checks = []
+
+    def check(_ev=None):
+        active = net.active_flows
+        local = [f.rate for f in active]
+        net._alloc_scalar(active)
+        glob = [f.rate for f in active]
+        for flow, rate in zip(active, local):
+            flow.rate = rate
+        if _ncomponents(active) == 1:
+            assert local == glob
+        else:
+            assert local == pytest.approx(glob, rel=1e-12, abs=0)
+        checks.append(len(active))
+
+    for g, nbytes, route in flows:
+        net.transfer(nbytes, [(res[g][i], cost) for i, cost in route]
+                     ).add_callback(check)
+    check()
+    sim.run()
+    assert len(checks) == len(flows) + 1 and checks[-1] == 0
+
+
+def test_finish_in_one_component_leaves_another_unsolved(monkeypatch):
+    """A flow finishing on link ``a`` re-solves ``a``'s component
+    only: the flows on link ``b`` keep their rates, bit for bit."""
+    solved = []
+    real = FluidNetwork._alloc_scalar
+    monkeypatch.setattr(FluidNetwork, "_alloc_scalar", lambda self, flows: (
+        solved.append([f.label for f in flows]), real(self, flows))[1])
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    a, b = FluidResource("a", 1e9), FluidResource("b", 3e8)
+    net.transfer(1e3, [(a, 1.0)], label="a1")
+    net.transfer(1e6, [(a, 1.0)], label="a2")
+    net.transfer(1e6, [(b, 1.0)], label="b1")
+    net.transfer(1e6, [(b, 3.0)], label="b2")
+    before = {f.label: f.rate for f in net.active_flows}
+    assert solved == [["a1", "a2"], ["b1", "b2"]]
+    sim.run(until=1e-5)  # a1 is done at 2 us, the rest are not
+    after = {f.label: f.rate for f in net.active_flows}
+    assert solved[2:] == [["a2"]]
+    assert after["a2"] == 2 * before["a2"] == 1e9
+    assert [after["b1"], after["b2"]] == [before["b1"], before["b2"]]

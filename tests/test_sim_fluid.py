@@ -78,6 +78,27 @@ class TestSingleFlow:
         with pytest.raises(ValueError):
             FluidResource("bad", 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        """A NaN or inf capacity or cost would finish a transfer at
+        t = 0 or never; NaN or inf bytes would never finish."""
+        sim, net = make()
+        res = FluidResource("r", 100.0)
+        with pytest.raises(ValueError, match="capacity"):
+            FluidResource("bad", bad)
+        with pytest.raises(ValueError, match="nbytes"):
+            net.transfer(bad, [(res, 1.0)])
+        with pytest.raises(ValueError, match="cost_per_byte"):
+            net.transfer(100, [(res, bad)])
+        assert not net.active_flows and net.transfers == 0
+
+    def test_world_with_nan_bandwidth_rejected(self):
+        from repro.config import HardwareConfig
+        from repro.mpi.runner import build_world
+        with pytest.raises(ValueError, match="capacity"):
+            build_world(2, "zerocopy",
+                        cfg=HardwareConfig(membus_bandwidth=math.nan))
+
 
 class TestSharing:
     def test_two_equal_flows_halve_rate(self):
