@@ -12,8 +12,8 @@ Three prongs:
   use-after-deregister, out-of-bounds RDMA, write-write races),
   enabled under any entry point with ``REPRO_SHADOW=1``.
 
-``python -m repro.analysis {lint,baseline,shadow-run,modelcheck}`` is
-the CLI.  :mod:`repro.analysis.mutcheck` runs every bug in the
+``python -m repro.analysis {lint,modelcheck}`` is the CLI.
+:mod:`repro.analysis.mutcheck` runs every bug in the
 ``repro.check.mutations`` catalogue through these prongs and the
 differential oracle; ``python -m repro.check mutate`` prints that
 matrix.

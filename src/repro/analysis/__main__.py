@@ -2,64 +2,31 @@
 
 ``lint``
     run the protocol-contract linter over the source tree (exit 1 on
-    findings; ``--baseline`` filters known ones);
-``baseline``
-    write the current findings to a baseline file so ``lint`` only
-    reports regressions;
-``shadow-run``
-    execute a module/script with the RDMA shadow-memory sanitizer
-    force-enabled (``REPRO_SHADOW=1``);
+    findings);
 ``modelcheck``
     exhaustively explore the transcribed protocol state machines
-    (exit 1 on a clean-tree violation; ``--mutations`` instead
-    requires every seeded model bug to be caught, writing the
-    counterexample charts to ``--out``).
+    (exit 1 on a clean-tree violation; ``--model M --mutate X`` checks
+    one seeded model bug and prints its counterexample chart).
 
-The mutation matrix, which runs every catalogued bug through these
-prongs and the differential oracle, is ``python -m repro.check
-mutate``.
+The shadow sanitizer has no subcommand: ``REPRO_SHADOW=1`` arms it
+under any entry point.  The mutation matrix, which runs every
+catalogued bug through these prongs and the differential oracle, is
+``python -m repro.check mutate``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import runpy
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from .core import write_baseline
 from .lint import run_lint
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    report = run_lint(
-        rule_ids=args.rules.split(",") if args.rules else None,
-        baseline=Path(args.baseline) if args.baseline else None)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.format())
-    return 1 if report.findings else 0
-
-
-def _cmd_baseline(args: argparse.Namespace) -> int:
     report = run_lint()
-    write_baseline(report, Path(args.out))
-    print(f"baseline: {len(report.findings)} finding(s) -> {args.out}")
-    return 0
-
-
-def _cmd_shadow_run(args: argparse.Namespace) -> int:
-    os.environ["REPRO_SHADOW"] = "1"
-    sys.argv = [args.target] + list(args.target_args)
-    if args.module:
-        runpy.run_module(args.target, run_name="__main__",
-                         alter_sys=True)
-    else:
-        runpy.run_path(args.target, run_name="__main__")
-    return 0
+    print(report.format())
+    return 1 if report.findings else 0
 
 
 def _cmd_modelcheck(args: argparse.Namespace) -> int:
@@ -90,30 +57,6 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
         print(format_counterexample(result.lanes, result.violation))
         return 0
 
-    if args.mutations:
-        outdir = Path(args.out) if args.out else None
-        escaped = 0
-        for name in names:
-            for mut in sorted(MODELS[name].mutations):
-                cfg = config_for_mutation(name, mut)
-                result = check(build_model(name, mutation=mut, **cfg))
-                print(result.format())
-                if result.violation is None:
-                    escaped += 1
-                    continue
-                if outdir is not None:
-                    outdir.mkdir(parents=True, exist_ok=True)
-                    chart = format_counterexample(result.lanes,
-                                                  result.violation)
-                    (outdir / f"{name}--{mut}.txt").write_text(
-                        chart + "\n")
-        if escaped:
-            print(f"{escaped} seeded model bug(s) escaped exhaustive "
-                  "exploration")
-            return 1
-        print("every seeded model bug caught with a counterexample")
-        return 0
-
     bad = 0
     for name in names:
         for cfg in default_configs(name):
@@ -131,32 +74,14 @@ def _cmd_modelcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="protocol-contract linter + RDMA shadow sanitizer")
+        description="protocol-contract linter + protocol model checker")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("lint", help="lint the source tree")
-    p.add_argument("--rules", default=None,
-                   help="comma-separated rule ids (default: all)")
-    p.add_argument("--baseline", default=None,
-                   help="suppress findings recorded in this file")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable report")
     p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser("baseline", help="record current findings")
-    p.add_argument("--out", default="lint-baseline.json")
-    p.set_defaults(func=_cmd_baseline)
-
-    p = sub.add_parser("shadow-run",
-                       help="run a script/module with REPRO_SHADOW=1")
-    p.add_argument("-m", dest="module", action="store_true",
-                   help="treat target as a module (like python -m)")
-    p.add_argument("target")
-    p.add_argument("target_args", nargs=argparse.REMAINDER)
-    p.set_defaults(func=_cmd_shadow_run)
 
     p = sub.add_parser("modelcheck",
                        help="exhaustively check the protocol models")
@@ -165,14 +90,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--mutate", default=None,
                    help="check one seeded model bug (needs --model); "
                         "prints its counterexample chart")
-    p.add_argument("--mutations", action="store_true",
-                   help="require every seeded model bug to be caught")
-    p.add_argument("--out", default=None,
-                   help="directory for counterexample charts "
-                        "(with --mutations)")
     p.set_defaults(func=_cmd_modelcheck)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -1,4 +1,4 @@
-"""Linter plumbing: findings, modules, allow-annotations, baselines.
+"""Linter plumbing: findings, modules, allow-annotations.
 
 A *rule* is an object with an ``id``, a ``description``, and a
 ``check(mod)`` method yielding :class:`Finding` objects.  Rules never
@@ -14,10 +14,9 @@ above it, or the ``def`` line of the enclosing function carries
 from __future__ import annotations
 
 import ast
-import json
 import re
 import textwrap
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
@@ -30,8 +29,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "lint_tree",
-    "load_baseline",
-    "write_baseline",
 ]
 
 _ALLOW_RE = re.compile(
@@ -57,11 +54,6 @@ class Finding:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-    def key(self) -> str:
-        """Stable identity for baseline matching (line numbers drift,
-        so the key is rule+path+message, not rule+path+line)."""
-        return f"{self.rule}|{self.path}|{self.message}"
 
 
 class ModuleInfo:
@@ -136,12 +128,6 @@ class LintReport:
                    f"{self.files_checked} file(s)")
         return "\n".join(out)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"files_checked": self.files_checked,
-             "findings": [asdict(f) for f in self.findings]},
-            indent=2, sort_keys=True)
-
 
 def lint_module(mod: ModuleInfo, rules: Sequence[Rule]) -> List[Finding]:
     found: List[Finding] = []
@@ -191,21 +177,3 @@ def lint_tree(root: Path,
               excludes: Sequence[str] = DEFAULT_EXCLUDES) -> LintReport:
     """Lint every ``*.py`` under ``root`` (normally ``src/``)."""
     return lint_paths(root, root.rglob("*.py"), rules, excludes)
-
-
-# ---------------------------------------------------------------------
-# baselines: accept a known set of findings, report only new ones
-# ---------------------------------------------------------------------
-
-def write_baseline(report: LintReport, path: Path) -> None:
-    path.write_text(json.dumps(
-        sorted(f.key() for f in report.findings), indent=2) + "\n")
-
-
-def load_baseline(path: Path) -> Set[str]:
-    return set(json.loads(path.read_text()))
-
-
-def apply_baseline(report: LintReport, baseline: Set[str]) -> LintReport:
-    fresh = [f for f in report.findings if f.key() not in baseline]
-    return LintReport(fresh, report.files_checked)

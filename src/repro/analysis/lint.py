@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence
 
-from .core import (DEFAULT_EXCLUDES, LintReport, apply_baseline,
-                   load_baseline, lint_tree)
-from .rules import rules_by_id
+from .core import LintReport, lint_tree
 
 __all__ = ["default_root", "run_lint"]
 
@@ -17,14 +14,6 @@ def default_root() -> Path:
     return Path(__file__).resolve().parents[2]
 
 
-def run_lint(root: Optional[Path] = None,
-             rule_ids: Optional[Sequence[str]] = None,
-             baseline: Optional[Path] = None,
-             excludes: Sequence[str] = DEFAULT_EXCLUDES) -> LintReport:
-    """Lint the repro tree; with ``baseline``, report only findings
-    not present in the baseline file."""
-    report = lint_tree(root if root is not None else default_root(),
-                       rules_by_id(rule_ids), excludes)
-    if baseline is not None and baseline.exists():
-        report = apply_baseline(report, load_baseline(baseline))
-    return report
+def run_lint() -> LintReport:
+    """Lint the repro tree with every rule."""
+    return lint_tree(default_root())

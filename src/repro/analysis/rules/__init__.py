@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Type
+from typing import List, Sequence, Type
 
 from ..core import Rule
 from . import contracts, determinism, hygiene
 
-__all__ = ["ALL_RULE_CLASSES", "all_rules", "rules_by_id"]
+__all__ = ["ALL_RULE_CLASSES", "all_rules"]
 
 ALL_RULE_CLASSES: Sequence[Type[Rule]] = (
     determinism.WallClockRule,
@@ -30,15 +30,3 @@ ALL_RULE_CLASSES: Sequence[Type[Rule]] = (
 
 def all_rules() -> List[Rule]:
     return [cls() for cls in ALL_RULE_CLASSES]
-
-
-def rules_by_id(ids: Optional[Sequence[str]] = None) -> List[Rule]:
-    rules = all_rules()
-    if ids is None:
-        return rules
-    want = set(ids)
-    known = {r.id for r in rules}
-    unknown = want - known
-    if unknown:
-        raise ValueError(f"unknown rule id(s): {sorted(unknown)}")
-    return [r for r in rules if r.id in want]

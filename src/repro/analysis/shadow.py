@@ -43,7 +43,8 @@ Enable under any entry point with ``REPRO_SHADOW=1`` (see
 :func:`install_shadow`.  In ``strict`` mode (default) a violation
 raises :class:`ShadowViolation` inside the offending QP engine, which
 surfaces through the simulator as a crashed process; in lax mode
-violations are only recorded in :attr:`ShadowFabric.violations`.
+violations are only recorded in :attr:`ShadowFabric.violations`
+(``install_shadow(cluster, strict=False)``).
 """
 
 from __future__ import annotations

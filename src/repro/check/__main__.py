@@ -4,6 +4,7 @@ Examples::
 
     python -m repro.check gen --seed 7            # print a spec
     python -m repro.check fuzz --budget 20        # differential fuzz
+    python -m repro.check fuzz --budget 1 --base-seed 7   # one seed
     python -m repro.check fuzz --budget 50 --time-budget 60 \\
         --perturb 2 --faults --out replays/       # CI smoke slice
     python -m repro.check replay replays/fail-7.json
@@ -39,16 +40,6 @@ def cmd_gen(args) -> int:
     spec = generate_spec(args.seed)
     print(spec.to_json(indent=2))
     return 0
-
-
-def cmd_run(args) -> int:
-    spec = generate_spec(args.seed)
-    report = differential(spec, designs=_parse_designs(args.designs))
-    for f in report.failures:
-        print(f)
-    print(f"seed {args.seed}: {len(report.observations)} runs, "
-          f"{len(report.failures)} failures")
-    return 0 if report.ok else 1
 
 
 def cmd_fuzz(args) -> int:
@@ -127,7 +118,7 @@ def cmd_pin(args) -> int:
     return pin(args.dir, update=args.update)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="python -m repro.check",
                                  description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -135,11 +126,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("gen", help="print a generated spec")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("run", help="differential run of one seed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--designs", default="")
-    p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("fuzz", help="differential fuzzing sweep")
     p.add_argument("--budget", type=int, default=20,
@@ -171,8 +157,11 @@ def main(argv=None) -> int:
                    help="directory holding corpus/ and pins/")
     p.add_argument("--update", action="store_true")
     p.set_defaults(fn=cmd_pin)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

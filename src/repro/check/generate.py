@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 
 from ..config import KB
 from ..faults import FaultPlan, LinkFaults
+from ..mpich2.channels.ring import HDR_SIZE, TRAILER_SIZE
 from .spec import (COLLECTIVE_OPS, RECV_MODES, CollectivePhase,
                    ComputePhase, DatatypePhase, OneSidedPhase,
                    P2PMessage, P2PPhase, RmaOp, WorkloadSpec)
@@ -31,8 +32,6 @@ __all__ = ["generate_spec", "generate_fault_plan", "boundary_sizes"]
 SMALL_CH_CFG = {"ring_size": 32 * KB, "chunk_size": 4 * KB,
                 "zerocopy_threshold": 8 * KB}
 
-_CHUNK_OVERHEAD = 17  # HDR_SIZE + TRAILER_SIZE (ring.py)
-
 
 def boundary_sizes(ch_cfg: Optional[dict]) -> List[int]:
     """Interesting payload sizes for a channel geometry."""
@@ -40,7 +39,7 @@ def boundary_sizes(ch_cfg: Optional[dict]) -> List[int]:
     chunk = cfg.get("chunk_size", 16 * KB)
     ring = cfg.get("ring_size", 128 * KB)
     zc = cfg.get("zerocopy_threshold", 32 * KB)
-    cap = chunk - _CHUNK_OVERHEAD
+    cap = chunk - HDR_SIZE - TRAILER_SIZE
     nslots = ring // chunk
     pool = {1, 2, 3, 8, 64, 1000}
     for base in (cap, 2 * cap, zc, nslots * cap):

@@ -283,18 +283,7 @@ def _mut_match_ignores_tag():
     def bad_match(want_src, want_tag, want_ctx, src, tag, ctx):
         return (want_ctx == ctx and want_src in (src, ANY_SOURCE))
 
-    def bad_matches(self, src, tag, context):
-        return (self.context == context
-                and self.source in (src, ANY_SOURCE))
-
-    undo1 = _patch(ch3, "_match", bad_match)
-    undo2 = _patch(ch3._PostedRecv, "matches", bad_matches)
-
-    def undo():
-        undo1()
-        undo2()
-
-    return undo
+    return _patch(ch3, "_match", bad_match)
 
 
 def _mut_srq_pool_write_race():

@@ -89,8 +89,7 @@ class Cluster:
         self.shadow = None
         if os.environ.get("REPRO_SHADOW") not in (None, "", "0"):
             from .analysis.shadow import install_shadow
-            install_shadow(self, strict=os.environ.get(
-                "REPRO_SHADOW_STRICT", "1") not in ("0", ""))
+            install_shadow(self)
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -18,7 +18,8 @@ convention of 1e6 bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 __all__ = ["HardwareConfig", "ChannelConfig", "KB", "MB", "US",
            "PAGE_SIZE"]
@@ -119,6 +120,22 @@ class HardwareConfig:
     #: threshold check and operation state machine (§5 reports it as
     #: the 7.4 -> 7.6 us small-message latency increase).
     zerocopy_check_cpu: float = 0.2 * US
+
+    def __post_init__(self):
+        # getattr over fields(): only the simulator's own attribute
+        # loads count as reads of a field (TestEveryFieldIsRead)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_bandwidth"):
+                ok, want = value > 0, "a capacity > 0"
+            elif (f.name.startswith("memcpy_cost_")
+                  or f.name == "dma_bus_cost"):
+                ok, want = value > 0, "> 0"
+            else:
+                ok, want = value >= 0, ">= 0"
+            if not (ok and math.isfinite(value)):
+                raise ValueError(f"HardwareConfig.{f.name} must be "
+                                 f"finite and {want}, got {value!r}")
 
     # -- derived helpers -------------------------------------------------
     def memcpy_cost_per_byte(self, working_set: int) -> float:

@@ -86,11 +86,6 @@ class _PostedRecv:
         self.tag = tag
         self.context = context
 
-    def matches(self, src: int, tag: int, context: int) -> bool:
-        return (self.context == context
-                and self.source in (src, ANY_SOURCE)
-                and self.tag in (tag, ANY_TAG))
-
 
 class _Unexpected:
     """An eager message that arrived before its receive was posted."""
@@ -462,7 +457,7 @@ class Ch3Device(Adi3Device):
     def _match_posted(self, src: int, tag: int,
                       context: int) -> Optional[_PostedRecv]:
         for i, pr in enumerate(self.posted):
-            if pr.matches(src, tag, context):
+            if _match(pr.source, pr.tag, pr.context, src, tag, context):
                 return self.posted.pop(i)
         return None
 

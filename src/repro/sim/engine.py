@@ -188,7 +188,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(sim)
         self.delay = delay
@@ -465,7 +465,7 @@ class Simulator:
         self._pending_events += 1
 
     def _schedule_at(self, when: float, fn: Callable, *args: Any) -> _Handle:
-        if when < self.now:
+        if not when >= self.now:
             raise SimulationError(
                 f"cannot schedule in the past ({when} < {self.now})"
             )

@@ -1,15 +1,9 @@
 """Protocol-contract linter: per-rule positives/negatives, the allow
 annotation, and the clean-tree guarantee."""
 
-from pathlib import Path
-
-import pytest
-
 from repro.analysis import lint_source
-from repro.analysis.core import (Finding, apply_baseline, load_baseline,
-                                 write_baseline)
+from repro.analysis.core import Finding
 from repro.analysis.lint import default_root, run_lint
-from repro.analysis.rules import all_rules, rules_by_id
 
 CHANNEL_PATH = "src/repro/mpich2/channels/ring_mutant.py"
 PLAIN_PATH = "src/repro/sim/something.py"
@@ -289,7 +283,7 @@ class TestHygieneRules:
 
 
 # ---------------------------------------------------------------------
-# suppression, selection, baselines, tree
+# suppression, tree
 # ---------------------------------------------------------------------
 
 class TestPlumbing:
@@ -322,27 +316,6 @@ class TestPlumbing:
             self.credit_sent = self.consumed  # lint: allow(wallclock)
         """
         assert "credit-publish" in rules_of(src)
-
-    def test_rule_selection(self):
-        assert [r.id for r in rules_by_id(["wallclock"])] == ["wallclock"]
-        with pytest.raises(ValueError):
-            rules_by_id(["no-such-rule"])
-        assert len(all_rules()) >= 14
-
-    def test_baseline_roundtrip(self, tmp_path):
-        src = """
-        def skip(self):
-            self.credit_sent = self.consumed
-        """
-        report = type("R", (), {})()
-        findings = lint_source(src, CHANNEL_PATH)
-        assert findings
-        from repro.analysis.core import LintReport
-        report = LintReport(findings=findings, files_checked=1)
-        path = tmp_path / "baseline.json"
-        write_baseline(report, path)
-        filtered = apply_baseline(report, load_baseline(path))
-        assert filtered.findings == []
 
     def test_clean_tree_zero_findings(self):
         report = run_lint()

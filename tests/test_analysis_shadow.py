@@ -118,12 +118,6 @@ class TestModes:
         assert cluster.nodes[0].hca.shadow is cluster.shadow
         assert cluster.nodes[0].hca.pd.shadow is cluster.shadow
 
-    def test_env_gate_lax(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHADOW", "1")
-        monkeypatch.setenv("REPRO_SHADOW_STRICT", "0")
-        cluster = build_cluster(1)
-        assert cluster.shadow.strict is False
-
     def test_env_unset_installs_nothing(self, monkeypatch):
         monkeypatch.delenv("REPRO_SHADOW", raising=False)
         cluster = build_cluster(1)

@@ -68,6 +68,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="tail_update_fraction"):
             ChannelConfig(tail_update_fraction=1.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("post_wqe_cpu", float("nan")),
+        ("hca_send_processing", float("inf")),
+        ("l2_cache_size", -5),
+        ("wire_latency", -1 * US),
+        ("memcpy_cost_cached", 0.0),
+    ])
+    def test_hardware_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HardwareConfig(**{field: value})
+
 
 class TestEveryFieldIsRead:
     """A config field earns its place only if the simulator reads it:

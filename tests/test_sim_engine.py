@@ -52,6 +52,14 @@ class TestTimeout:
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
 
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.timeout(float("nan"))
+        with pytest.raises(SimulationError):
+            sim.call_in(float("nan"), lambda: None)
+        assert sim.peek() == float("inf")
+
     def test_timeout_carries_value(self):
         sim = Simulator()
 
