@@ -9,6 +9,24 @@ Addresses are integers in a flat per-node address space managed by a
 simple first-fit allocator.  Reads and writes may target any
 ``(addr, len)`` range inside an allocated region (RDMA descriptors
 routinely point into the middle of registered buffers).
+
+**Memory nobody wrote is never allocated.**  A region starts with no
+backing array.  While its backing is ``None`` the region has never been
+written, so every byte of it reads as zero, and every path that only
+*reads* it leaves it that way:
+
+* :meth:`NodeMemory.read` returns ``bytes(n)``;
+* :meth:`NodeMemory.snapshot` returns a :class:`Zeros` payload;
+* :meth:`NodeMemory.write` of a :class:`Zeros` payload into an
+  unwritten region does nothing (into a written one it zero-fills the
+  range), and :meth:`NodeMemory.copy_within` from an unwritten source
+  is exactly that write.
+
+:meth:`NodeMemory.view` allocates the backing (zero-filled), because the
+caller may write through the alias it hands out.  A large world pins a
+ring and a staging buffer per peer, most of which never carry a byte;
+under this rule they cost address space, not host RAM.  Every byte the
+program observes is the same as with eager zeroed backing.
 """
 
 from __future__ import annotations
@@ -18,7 +36,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-__all__ = ["NodeMemory", "MemoryError_", "Buffer"]
+__all__ = ["NodeMemory", "MemoryError_", "Buffer", "Zeros"]
 
 Bytes = Union[bytes, bytearray, memoryview, np.ndarray]
 
@@ -27,25 +45,39 @@ class MemoryError_(Exception):
     """Bad address, overlapping ranges, or out-of-bounds access."""
 
 
+class Zeros:
+    """``nbytes`` zero bytes read from memory nobody wrote: a payload
+    that owns no storage.  Slices are ``Zeros`` too; :meth:`tobytes`
+    materializes it for consumers that need real bytes (CRC, fault
+    corruption)."""
+
+    __slots__ = ("nbytes",)
+
+    def __init__(self, nbytes: int):
+        self.nbytes = nbytes
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def __getitem__(self, key: slice) -> "Zeros":
+        start, stop, step = key.indices(self.nbytes)
+        assert step == 1, "Zeros slices are contiguous"
+        return Zeros(max(stop - start, 0))
+
+    def tobytes(self) -> bytes:
+        return bytes(self.nbytes)
+
+
 class _Region:
-    __slots__ = ("start", "length", "_data", "name")
+    __slots__ = ("start", "length", "data", "name")
 
     def __init__(self, start: int, length: int, name: str):
         self.start = start
         self.length = length
-        # Backing storage materializes on first access: large worlds
-        # allocate hundreds of thousands of rings/staging buffers of
-        # which most never carry traffic, and zeroing them eagerly
-        # dominates world construction time (and memory).
-        self._data: Optional[np.ndarray] = None
+        #: the backing array; ``None`` until the region is first viewed
+        #: or written, and until then every byte of it reads as zero
+        self.data: Optional[np.ndarray] = None
         self.name = name
-
-    @property
-    def data(self) -> np.ndarray:
-        buf = self._data
-        if buf is None:
-            buf = self._data = np.zeros(self.length, dtype=np.uint8)
-        return buf
 
     @property
     def end(self) -> int:
@@ -68,6 +100,8 @@ class NodeMemory:
         self._regions: Dict[int, _Region] = {}  # start -> region
         self._next = self.BASE
         self.allocated_bytes = 0
+        #: bytes of live regions that have a backing array right now
+        self.resident_bytes = 0
 
     # -- allocation ------------------------------------------------------
     def alloc(self, nbytes: int, name: str = "") -> int:
@@ -88,8 +122,10 @@ class NodeMemory:
         region = self._regions.pop(addr, None)
         if region is None:
             raise MemoryError_(f"free of non-allocated address {addr:#x}")
-        self._starts.remove(addr)
+        del self._starts[bisect.bisect_left(self._starts, addr)]
         self.allocated_bytes -= region.length
+        if region.data is not None:
+            self.resident_bytes -= region.length
 
     def region_of(self, addr: int, nbytes: int = 1) -> _Region:
         """The region containing ``[addr, addr+nbytes)`` — raises if the
@@ -105,21 +141,59 @@ class NodeMemory:
             )
         return region
 
+    def _backing(self, region: _Region) -> np.ndarray:
+        """``region``'s array, allocated zero-filled on first use."""
+        data = region.data
+        if data is None:
+            data = region.data = np.zeros(region.length, dtype=np.uint8)
+            self.resident_bytes += region.length
+        return data
+
     # -- access ----------------------------------------------------------
     def view(self, addr: int, nbytes: int) -> np.ndarray:
-        """Writable ``uint8`` view of ``[addr, addr+nbytes)``."""
+        """Writable ``uint8`` view of ``[addr, addr+nbytes)``; backs the
+        region if it was unwritten."""
         if nbytes < 0:
             raise MemoryError_("negative length")
         if nbytes == 0:
             return np.empty(0, dtype=np.uint8)
         region = self.region_of(addr, nbytes)
         off = addr - region.start
-        return region.data[off:off + nbytes]
+        return self._backing(region)[off:off + nbytes]
+
+    def snapshot(self, addr: int, nbytes: int) -> Union[np.ndarray, Zeros]:
+        """A copy of ``[addr, addr+nbytes)`` that later writes do not
+        change: ``Zeros`` if the region is unwritten (or the range
+        empty), else a fresh array."""
+        if nbytes < 0:
+            raise MemoryError_("negative length")
+        if nbytes == 0:
+            return Zeros(0)
+        region = self.region_of(addr, nbytes)
+        if region.data is None:
+            return Zeros(nbytes)
+        off = addr - region.start
+        return region.data[off:off + nbytes].copy()
 
     def read(self, addr: int, nbytes: int) -> bytes:
-        return self.view(addr, nbytes).tobytes()
+        if nbytes < 0:
+            raise MemoryError_("negative length")
+        if nbytes == 0:
+            return b""
+        region = self.region_of(addr, nbytes)
+        if region.data is None:
+            return bytes(nbytes)
+        off = addr - region.start
+        return region.data[off:off + nbytes].tobytes()
 
-    def write(self, addr: int, data: Bytes) -> None:
+    def write(self, addr: int, data: Union[Bytes, Zeros]) -> None:
+        if isinstance(data, Zeros):
+            if data.nbytes:
+                region = self.region_of(addr, data.nbytes)
+                if region.data is not None:
+                    off = addr - region.start
+                    region.data[off:off + data.nbytes] = 0
+            return
         buf = np.frombuffer(bytes(data) if isinstance(data, memoryview)
                             else data, dtype=np.uint8) \
             if not isinstance(data, np.ndarray) else \
@@ -128,10 +202,18 @@ class NodeMemory:
 
     def copy_within(self, dst: int, src: int, nbytes: int) -> None:
         """memmove-style copy inside this node's memory."""
+        if nbytes < 0:
+            raise MemoryError_("negative length")
         if nbytes == 0:
             return
-        data = self.view(src, nbytes).copy()
-        self.view(dst, nbytes)[:] = data
+        region = self.region_of(src, nbytes)
+        if region.data is None:
+            self.write(dst, Zeros(nbytes))
+            return
+        off = src - region.start
+        # numpy detects the overlap of the two slices and buffers the
+        # source itself, so one assignment is a memmove
+        self.view(dst, nbytes)[:] = region.data[off:off + nbytes]
 
     def fill(self, addr: int, nbytes: int, value: int = 0) -> None:
         self.view(addr, nbytes)[:] = value

@@ -74,7 +74,7 @@ import numpy.typing as npt
 
 from ..config import US, HardwareConfig
 from ..hw.membus import MemBus
-from ..hw.memory import NodeMemory
+from ..hw.memory import NodeMemory, Zeros
 from ..obs import NULL_OBS
 from ..sim.engine import Event, Simulator
 from ..sim.fluid import FluidNetwork, FluidResource
@@ -120,9 +120,10 @@ def ack_timeout(attempt: int, nbytes: int = 0) -> float:
 #: response value
 _TIMED_OUT = object()
 
-#: what a write or send carries to the responder: the gathered ndarray
-#: fault-free, immutable bytes under recovery
-_Payload = Union[bytes, npt.NDArray[np.uint8]]
+#: what a write, send or read response carries: the gathered ndarray
+#: fault-free, immutable bytes under recovery, and ``Zeros`` (no
+#: storage) whenever every byte came from memory nobody wrote
+_Payload = Union[bytes, npt.NDArray[np.uint8], Zeros]
 
 
 class HcaStats:
@@ -309,25 +310,30 @@ class QueuePair:
         remote.hca.pd.lookup_rkey(wr.rkey).check_remote(
             wr.remote_addr, nbytes, access)
 
-    def _gather(self, wr: WorkRequest) -> npt.NDArray[np.uint8]:
-        """Snapshot the local SGEs into one contiguous array.
+    def _gather(self, wr: WorkRequest) -> Union[npt.NDArray[np.uint8],
+                                                Zeros]:
+        """Snapshot the local SGEs into one contiguous payload.
 
         A single copy is required (not full zero-copy): senders reuse
         staging buffers as soon as the descriptor is queued, so the
         payload must be captured at gather time.  Returning an ndarray
         instead of ``bytes`` makes every downstream scatter a slice
-        assignment with no further conversions.
+        assignment with no further conversions.  SGEs nobody wrote
+        snapshot as ``Zeros``: if all of them do, so does the payload,
+        and a mixed gather zero-fills only those pieces.
         """
-        views = []
+        pieces = []
         for sge in wr.sges:
             mr = self.hca.pd.lookup_lkey(sge.lkey)
             mr.check_local(sge.addr, sge.length)
-            views.append(self.hca.mem.view(sge.addr, sge.length))
-        if not views:
-            return np.empty(0, dtype=np.uint8)
-        if len(views) == 1:
-            return views[0].copy()
-        return np.concatenate(views)
+            pieces.append(self.hca.mem.snapshot(sge.addr, sge.length))
+        if len(pieces) == 1:
+            return pieces[0]
+        if all(isinstance(p, Zeros) for p in pieces):
+            return Zeros(sum(len(p) for p in pieces))
+        return np.concatenate([
+            np.zeros(len(p), dtype=np.uint8) if isinstance(p, Zeros)
+            else p for p in pieces])
 
     def _admit_write_or_send(self, wr: WorkRequest, remote: "QueuePair",
                              nbytes: int) -> None:
@@ -421,7 +427,7 @@ class QueuePair:
         yield remote.hca.read_engine.acquire()
         try:
             yield sim.timeout(cfg.hca_read_response)
-            payload = remote.hca.mem.view(wr.remote_addr, nbytes).copy()
+            payload = remote.hca.mem.snapshot(wr.remote_addr, nbytes)
             yield sim.timeout(cfg.pci_latency)
             if nbytes:
                 route = remote.hca.dma_route_to(self.hca)
@@ -431,8 +437,8 @@ class QueuePair:
             remote.hca.read_engine.release()
         return payload
 
-    def _land_read(self, wr: WorkRequest,
-                   payload: npt.NDArray[np.uint8], t0: float) -> None:
+    def _land_read(self, wr: WorkRequest, payload: _Payload,
+                   t0: float) -> None:
         """Scatter read data into the requester's SGEs and complete."""
         nbytes = len(payload)
         if nbytes:
@@ -511,7 +517,7 @@ class QueuePair:
         self.hca.sim.spawn(self._deliver(wr, payload, remote),
                            name=f"qp{self.qpn}.deliver")
 
-    def _deliver(self, wr: WorkRequest, payload: npt.NDArray[np.uint8],
+    def _deliver(self, wr: WorkRequest, payload: _Payload,
                  remote: "QueuePair") -> Generator:
         sim, cfg = self.hca.sim, self.hca.cfg
         yield sim.timeout(self.hca.fabric.latency(self.hca.node_id,

@@ -77,6 +77,14 @@ def _recv_obj(comm, source: int, tag: int, max_size: int = 1 << 22):
         comm.device.node.mem.free(buf.addr)
 
 
+def _local_copy(dst: Buffer, src: Buffer) -> None:
+    """Copy this rank's own block on the host, inside its node's memory
+    (a block nobody wrote stays unallocated: see ``repro.hw.memory``)."""
+    assert dst.mem is src.mem, "local block copy across nodes"
+    assert len(dst) == len(src), "local block copy of unequal lengths"
+    dst.mem.copy_within(dst.addr, src.addr, len(src))
+
+
 def _as_target(comm, data) -> Tuple[Buffer, Optional[np.ndarray]]:
     """Stage ``data`` for in-place collective use; returns the staged
     buffer and, if the caller passed an ndarray, the array to copy the
@@ -304,7 +312,7 @@ def gather(comm, sendbuf, recvbuf, root: int = 0) -> Generator:
         if len(rbuf) < n * p:
             raise MpiError(f"gather needs {n * p} bytes at root, "
                            f"got {len(rbuf)}")
-        rbuf.sub(r * n, n).view()[:] = sbuf.view()
+        _local_copy(rbuf.sub(r * n, n), sbuf)
         for src in range(p):
             if src == root:
                 continue
@@ -342,7 +350,7 @@ def scatter(comm, sendbuf, recvbuf, root: int = 0) -> Generator:
         reqs = []
         for dst in range(p):
             if dst == root:
-                rbuf.view()[:] = sbuf.sub(dst * n, n).view()
+                _local_copy(rbuf, sbuf.sub(dst * n, n))
                 continue
             req = yield from _isend(comm, sbuf.sub(dst * n, n), dst,
                                     _COLL_TAG + 8)
@@ -366,7 +374,7 @@ def allgather(comm, sendbuf, recvbuf) -> Generator:
     rbuf, arr = _as_target(comm, recvbuf)
     if len(rbuf) < n * p:
         raise MpiError(f"allgather needs {n * p} bytes, got {len(rbuf)}")
-    rbuf.sub(r * n, n).view()[:] = sbuf.view()
+    _local_copy(rbuf.sub(r * n, n), sbuf)
     right = (r + 1) % p
     left = (r - 1) % p
     for step in range(p - 1):
@@ -396,7 +404,7 @@ def alltoall(comm, sendbuf, recvbuf) -> Generator:
     if len(sbuf) % p or len(rbuf) % p:
         raise MpiError("alltoall buffers must divide evenly by size")
     n = len(sbuf) // p
-    rbuf.sub(r * n, n).view()[:] = sbuf.sub(r * n, n).view()
+    _local_copy(rbuf.sub(r * n, n), sbuf.sub(r * n, n))
     for step in range(1, p):
         dst = (r + step) % p
         src = (r - step) % p
@@ -494,7 +502,7 @@ def gatherv(comm, sendbuf, recvbuf, counts, displs=None,
         counts, displs = _check_cd(comm, counts, displs, len(rbuf),
                                    "gatherv")
         if counts[r]:
-            rbuf.sub(displs[r], counts[r]).view()[:] = sbuf.view()
+            _local_copy(rbuf.sub(displs[r], counts[r]), sbuf)
         for src in range(p):
             if src == root or counts[src] == 0:
                 continue
@@ -527,7 +535,7 @@ def scatterv(comm, sendbuf, recvbuf, counts, displs=None,
                 continue
             seg = sbuf.sub(displs[dst], counts[dst])
             if dst == root:
-                rbuf.view()[:] = seg.view()
+                _local_copy(rbuf, seg)
                 continue
             req = yield from _isend(comm, seg, dst, _COLL_TAG + 13)
             reqs.append(req)
@@ -567,7 +575,8 @@ def alltoallv(comm, sendbuf, recvbuf, send_counts, recv_counts,
     if send_counts[r] != recv_counts[r]:
         raise MpiError("alltoallv: local segment size mismatch")
     if send_counts[r]:
-        rbuf.sub(recv_displs[r], recv_counts[r]).view()[:] =             sbuf.sub(send_displs[r], send_counts[r]).view()
+        _local_copy(rbuf.sub(recv_displs[r], recv_counts[r]),
+                    sbuf.sub(send_displs[r], send_counts[r]))
     for step in range(1, p):
         dst = (r + step) % p
         src = (r - step) % p

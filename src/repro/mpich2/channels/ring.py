@@ -36,7 +36,7 @@ from typing import Generator, Optional, Tuple
 
 import numpy as np
 
-from ...hw.memory import Buffer
+from ...hw.memory import Buffer, _Region
 from ...ib.mr import MemoryRegion
 from ...ib.types import WorkRequest
 from ...obs import NULL_METRICS
@@ -172,8 +172,10 @@ class RingReceiver(CreditReturn):
         #: bytes of the current chunk's payload already delivered
         self.payload_off = 0
         self.chunks_received = 0
-        #: the ring's bytes, viewed once on first poll (rings are never
-        #: freed, so the view stays valid)
+        #: the ring's memory region, looked up on the first poll, and
+        #: its bytes, viewed on the first poll after something landed
+        #: (rings are never freed, so both stay valid)
+        self._region: Optional[_Region] = None
         self._ring_view: Optional[np.ndarray] = None
         m = metrics if metrics is not None else NULL_METRICS
         self._m_chunks_received = m.counter("chunks_received")
@@ -188,6 +190,15 @@ class RingReceiver(CreditReturn):
         shadow hook."""
         view = self._ring_view
         if view is None:
+            region = self._region
+            if region is None:
+                region = self._region = self.ring.mem.region_of(
+                    self.ring.addr, self.ring.nbytes)
+            # a ring nobody wrote reads as zeros, and a seq byte is
+            # never 0: nothing has landed, and the poll must not give
+            # the ring backing it does not need yet
+            if region.data is None:
+                return False
             view = self._ring_view = self.ring.view()
         base = self.next_chunk % self.nslots * self.chunk_size
         seq = seq_of(self.next_chunk)

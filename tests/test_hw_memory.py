@@ -48,6 +48,20 @@ class TestAllocator:
         with pytest.raises(MemoryError_):
             mem.read(a, 1)
 
+    def test_free_keeps_the_other_regions_addressable(self):
+        mem = NodeMemory()
+        addrs = [mem.alloc(64) for _ in range(8)]
+        for i, a in enumerate(addrs):
+            mem.write(a, bytes([i + 1]))
+        for a in addrs[1::2]:
+            mem.free(a)
+        for i, a in enumerate(addrs):
+            if i % 2:
+                with pytest.raises(MemoryError_):
+                    mem.read(a, 1)
+            else:
+                assert mem.read(a, 1) == bytes([i + 1])
+
 
 class TestAccess:
     def test_write_read_roundtrip(self):
@@ -158,6 +172,23 @@ class TestProperties:
         a = mem.alloc(offset + len(data))
         mem.write(a + offset, data)
         assert mem.read(a + offset, len(data)) == data
+
+    @given(data=st.binary(min_size=2, max_size=200),
+           shift=st.integers(1, 100), forward=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_overlapping_copy_is_memmove(self, data, shift, forward):
+        """Overlapping copies in both directions match a ``bytearray``
+        memmove."""
+        shift = min(shift, len(data) - 1)
+        n = len(data) - shift
+        src, dst = (0, shift) if forward else (shift, 0)
+        mem = NodeMemory()
+        a = mem.alloc(len(data))
+        mem.write(a, data)
+        mem.copy_within(a + dst, a + src, n)
+        want = bytearray(data)
+        want[dst:dst + n] = want[src:src + n]
+        assert mem.read(a, len(data)) == bytes(want)
 
     @given(st.lists(st.integers(1, 10_000), min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
