@@ -15,8 +15,9 @@ measures what they buy over the point-to-point implementations.
 
 Correctness note: the HCA gathers source data when a descriptor
 *executes*, not when it is posted, so outgoing flag lines are
-double-buffered by epoch parity and reused only after the previous
-write on that line has completed (reaped from the CQ).
+double-buffered by epoch parity and rewritten only after every write
+gathered from them has completed (reaped from the CQ).  The writes of
+one epoch carry the same bytes, so they may share a line in flight.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ class RdmaCollectives:
         self._mr = None
         self._barrier_epoch = 0
         self._bcast_epoch = 0
-        #: scratch line -> (qp, wr_id) of the last write gathered from it
-        self._line_pending: Dict[int, Tuple[object, int]] = {}
+        #: scratch line -> (qp, wr_id) of each write gathered from it
+        #: that has not been reaped
+        self._line_pending: Dict[int, List[Tuple[object, int]]] = {}
 
     @classmethod
     def create(cls, comm) -> Generator[None, None, "RdmaCollectives"]:
@@ -106,31 +108,29 @@ class RdmaCollectives:
     # low-level write/poll with scratch-line lifecycle
     # ------------------------------------------------------------------
     def _reap_line(self, src_off: int) -> Generator:
-        """Ensure the previous write gathered from this scratch line
-        has executed (drain its CQ up to that wr_id)."""
-        pending = self._line_pending.pop(src_off, None)
-        if pending is None:
-            return None
-        qp, wr_id = pending
+        """Ensure every write gathered from this scratch line has
+        executed (drain each one's CQ up to its wr_id)."""
         ctx = self.comm.device.channel.ctx
-        while True:
-            cqe = ctx.poll_cq(qp.send_cq)
-            if cqe is None:
-                # nothing reaped yet: wait for the next completion
-                yield qp.send_cq.wait_event()
-                continue
-            if cqe.status is not WcStatus.SUCCESS:
-                raise MpiError(f"RDMA collective write failed: "
-                               f"{cqe.status}")
-            if cqe.wr_id == wr_id:
-                return None
-            # a completion for some other scratch line on this QP:
-            # retire that line too, or its own reap would hang waiting
-            # for a CQE we just drained
-            for off, (_q, wid) in list(self._line_pending.items()):
-                if wid == cqe.wr_id:
-                    del self._line_pending[off]
+        for qp, wr_id in self._line_pending.pop(src_off, ()):
+            while True:
+                cqe = ctx.poll_cq(qp.send_cq)
+                if cqe is None:
+                    # nothing reaped yet: wait for the next completion
+                    yield qp.send_cq.wait_event()
+                    continue
+                if cqe.status is not WcStatus.SUCCESS:
+                    raise MpiError(f"RDMA collective write failed: "
+                                   f"{cqe.status}")
+                if cqe.wr_id == wr_id:
                     break
+                # a completion for some other scratch line on this QP:
+                # retire it there too, or that line's reap would hang
+                # waiting for a CQE we just drained
+                for writes in self._line_pending.values():
+                    if (qp, cqe.wr_id) in writes:
+                        writes.remove((qp, cqe.wr_id))
+                        break
+        return None
 
     def _post_from_line(self, target: int, src_off: int, length: int,
                         dst_off: int) -> Generator:
@@ -140,7 +140,8 @@ class RdmaCollectives:
             self._qps[target],
             [(self.signals.addr + src_off, length, self._mr.lkey)],
             addr + dst_off, rkey, signaled=True)
-        self._line_pending[src_off] = (self._qps[target], wr.wr_id)
+        self._line_pending.setdefault(src_off, []).append(
+            (self._qps[target], wr.wr_id))
         return None
 
     def _poll_flag(self, offset: int, value: int) -> Generator:
@@ -214,14 +215,10 @@ class RdmaCollectives:
         while mask > 0:
             if vr + mask < p:
                 dest = (vr + mask + root) % p
+                # every forward gathers the same bytes from the one
+                # staging line: post them back to back
                 yield from self._post_from_line(dest, out_off, n + 1,
                                                 in_off)
-                # all forwards share the staging line; only the last
-                # wr_id needs tracking (same-QP ordering is per-QP, so
-                # track per QP: re-reap before each post)
-                yield from self._reap_line(out_off)
-                view[out_off:out_off + n] = buf.view()
-                view[out_off + n] = seq
             mask >>= 1
         return None
 
