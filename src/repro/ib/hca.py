@@ -868,6 +868,16 @@ class Hca:
         starting exactly at ``addr``."""
         self._placement_watch[addr] = cb
 
+    def move_watch(self, old: int, new: int
+                   ) -> Optional[Callable[[], None]]:
+        """Move the hook watching ``old`` to ``new`` (a ring's flag
+        advancing to its next slot); returns the hook, or ``None``
+        when nothing watches ``old``."""
+        cb = self._placement_watch.pop(old, None)
+        if cb is not None:
+            self._placement_watch[new] = cb
+        return cb
+
     def create_cq(self, depth: int = 4096, name: str = "") -> CompletionQueue:
         return CompletionQueue(
             # lint: allow(falsy-or-default, empty name = auto-name)

@@ -72,7 +72,7 @@ def _recv_obj(comm, source: int, tag: int, max_size: int = 1 << 22):
         req = yield from comm.device.irecv([buf], wsrc, tag,
                                            comm.context_id + 1)
         yield from comm.device.wait(req)
-        return pickle.loads(buf.read()[:req.count])
+        return pickle.loads(buf.sub(0, req.count).read())
     finally:
         comm.device.node.mem.free(buf.addr)
 

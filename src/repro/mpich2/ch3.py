@@ -184,10 +184,11 @@ class Ch3Device(Adi3Device):
         hdr = self.node.alloc(PKT_SIZE, f"ch3.hdr[{peer}]")
         st = _ConnState(conn, hdr)
         self.conn_state[peer] = st
-        # Channels whose `get` keys off a single flag word written
-        # by the peer can tell us where that word lives; inbound
-        # placement there marks the connection dirty, letting the
-        # sweep below skip the other N-1 quiescent connections.
+        # Channels whose `get` keys off a flag word written by the
+        # peer (a pointer replica, or the ring's next slot) can tell
+        # us where that word lives; inbound placement there marks the
+        # connection dirty, letting the sweep below skip the other
+        # N-1 quiescent connections.
         watch_addr = self.channel.recv_watch_addr(conn)
         if watch_addr is not None:
             st.recv_gated = True
@@ -300,11 +301,13 @@ class Ch3Device(Adi3Device):
                 # Clear the dirty flag BEFORE sweeping (a placement
                 # landing mid-sweep must re-mark for the next pass),
                 # and only on gated connections — ungated ones poll
-                # every sweep.  Skipping a clean recv or an empty
+                # every sweep.  A gated connection is also swept while
+                # the channel says a get has unannounced work
+                # (`recv_pending`).  Skipping a clean recv or an empty
                 # sendq costs no simulated time on any channel whose
                 # empty poll is yield-free, which is exactly what
                 # gating/`recv_watch_addr` certifies.
-                if st.recv_dirty:
+                if st.recv_dirty or self.channel.recv_pending(st.conn):
                     if st.recv_gated:
                         st.recv_dirty = False
                     moved |= yield from self._progress_recv(st)

@@ -254,11 +254,19 @@ class RdmaChannel(abc.ABC):
         A channel may only return an address if (a) every inbound
         message is announced by the peer writing that exact word
         *after* its data is placed, and (b) an empty ``get`` is free
-        of simulated cost (no yields) — the CH3 progress engine then
-        skips the ``get`` entirely between placements, so any
-        would-be empty-poll cost would change timing.  ``None`` (the
+        of simulated cost and side effects (no yields) — the CH3
+        progress engine then skips the ``get`` entirely between
+        placements, so any would-be empty-poll cost would change
+        timing.  A channel whose word moves (a ring's next slot)
+        keeps the watch on it with ``hca.move_watch``.  ``None`` (the
         default) keeps the unconditional per-sweep poll."""
         return None
+
+    def recv_pending(self, conn: Connection) -> bool:
+        """Whether ``get`` on a gated ``conn`` may have work that no
+        placement at its watch address announced; CH3 sweeps the
+        connection while this holds, as if it were marked dirty."""
+        return False
 
     def stall_edges(self) -> list:
         """Wait-for edges this channel can currently explain:

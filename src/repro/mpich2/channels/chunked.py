@@ -199,6 +199,17 @@ class ChunkedChannel(RdmaChannel):
                 yield from self._handle_zc_nak(conn, aux)
             conn.receiver.consume_chunk()
 
+    def recv_watch_addr(self, conn: ChunkedConnection) -> int:
+        # A chunk announces itself by landing at the next slot's flag,
+        # and an empty get returns before any yield; the receiver moves
+        # the watch one slot on as it consumes (RingReceiver.rewatch).
+        return conn.receiver.flag_addr()
+
+    def recv_pending(self, conn: ChunkedConnection) -> bool:
+        # an RDMA read completes on the CQ and a credit return falls
+        # due on consumption: neither is a placement at the flag
+        return conn.zc_read is not None or conn.receiver.credit_due()
+
     def _zc_check_put(self, conn: "ChunkedConnection") -> bool:
         """Whether put() pays the §5 threshold-check/state-machine
         overhead.  Static designs always do; the adaptive channel
@@ -506,7 +517,10 @@ class ChunkedChannel(RdmaChannel):
                 yield from self.regcache.release(mr)
             cur.reset(mark)
             if not conn.sender.is_open():
-                return None  # cannot NAK yet; leave the RTS, retry
+                # cannot NAK yet: leave the RTS, and keep the connection
+                # swept until the retry gets through
+                recv.rewatch()
+                return None
             yield from self._emit_control(conn, KIND_NAK, aux=op_id)
             recv.consume_chunk()
             self.zc_nak_sent += 1
