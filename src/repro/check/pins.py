@@ -260,7 +260,6 @@ class _Rig:
         self.ordinal = {}          # wr_id -> order of creation
         self.wrs = []
         self.send_cqes = []
-        self.watch_hits = 0
 
     def _number(self, req):
         self.ordinal[req.wr_id] = len(self.ordinal)
@@ -298,10 +297,6 @@ class _Rig:
 
 def write(plan):
     rig = _Rig(plan)
-
-    def hit():
-        rig.watch_hits += 1
-    rig.nb.hca.watch_placement(rig.dst.addr, hit)
     for _ in range(2):
         rig.post(Opcode.RDMA_WRITE, [rig.local(0, 4096)])
         rig.post(Opcode.RDMA_WRITE,
@@ -411,7 +406,7 @@ def transport_record(scenario, plan):
             stamps.append(repr(c.timestamp))
     delivered = [
         cqes, bytes(rig.src.read()), bytes(rig.dst.read()), stamps,
-        rig.watch_hits, rig.qa.error, rig.qb.error,
+        rig.qa.error, rig.qb.error,
         rig.qa.psn, rig.qb.expected_psn, rig.qa.outstanding_send_wqes,
         rig.srq and (rig.srq.posted_total, rig.srq.consumed_total,
                      rig.srq.rnr_stalls),
