@@ -383,9 +383,6 @@ class QueuePair:
                 rhca.shadow.on_rdma_write(rhca, wr.remote_addr, nbytes,
                                           self.qpn)
             rhca.mem.write(wr.remote_addr, payload)
-            watch = rhca._placement_watch.get(wr.remote_addr)
-            if watch is not None:
-                watch()
 
     def _place_send(self, payload: _Payload, remote: "QueuePair",
                     rr: Optional[RecvRequest]) -> WcStatus:
@@ -853,30 +850,8 @@ class Hca:
         self.read_engine = Resource(sim, capacity=1)
         #: pulsed on any inbound placement so pollers can re-check flags
         self.inbound_gate = Gate(sim)
-        #: exact-address placement hooks: when an inbound RDMA write
-        #: lands at a watched address, the callback runs (before the
-        #: gate pulse).  Channels use this to mark per-connection
-        #: receive state dirty so the CH3 progress engine can skip
-        #: quiescent connections instead of polling all N of them.
-        self._placement_watch: Dict[int, Callable[[], None]] = {}
         self.stats = HcaStats()
         fabric.attach(node_id)
-
-    def watch_placement(self, addr: int,
-                        cb: Callable[[], None]) -> None:
-        """Invoke ``cb`` whenever an inbound RDMA write places bytes
-        starting exactly at ``addr``."""
-        self._placement_watch[addr] = cb
-
-    def move_watch(self, old: int, new: int
-                   ) -> Optional[Callable[[], None]]:
-        """Move the hook watching ``old`` to ``new`` (a ring's flag
-        advancing to its next slot); returns the hook, or ``None``
-        when nothing watches ``old``."""
-        cb = self._placement_watch.pop(old, None)
-        if cb is not None:
-            self._placement_watch[new] = cb
-        return cb
 
     def create_cq(self, depth: int = 4096, name: str = "") -> CompletionQueue:
         return CompletionQueue(

@@ -126,8 +126,7 @@ class _Inflight:
 class _ConnState:
     """Per-connection CH3 progress state."""
 
-    __slots__ = ("conn", "sendq", "hdr_buf", "hdr_off", "inflight",
-                 "recv_dirty", "recv_gated")
+    __slots__ = ("conn", "sendq", "hdr_buf", "hdr_off", "inflight")
 
     def __init__(self, conn: Connection, hdr_buf: Buffer):
         self.conn = conn
@@ -135,16 +134,6 @@ class _ConnState:
         self.hdr_buf = hdr_buf
         self.hdr_off = 0
         self.inflight: Optional[_Inflight] = None
-        #: inbound bytes may be waiting.  Cleared before each receive
-        #: sweep only on *gated* connections (ones whose channel
-        #: exposes a placement-watch address); set again by the HCA's
-        #: placement hook when the peer's flag write lands.  On
-        #: ungated connections it stays True and every sweep polls.
-        self.recv_dirty = True
-        self.recv_gated = False
-
-    def mark_recv_dirty(self) -> None:
-        self.recv_dirty = True
 
 
 class Ch3Device(Adi3Device):
@@ -182,18 +171,7 @@ class Ch3Device(Adi3Device):
         per-peer by the lazy connector, in bulk by the eager path)."""
         conn = self.channel.conns[peer]
         hdr = self.node.alloc(PKT_SIZE, f"ch3.hdr[{peer}]")
-        st = _ConnState(conn, hdr)
-        self.conn_state[peer] = st
-        # Channels whose `get` keys off a flag word written by the
-        # peer (a pointer replica, or the ring's next slot) can tell
-        # us where that word lives; inbound placement there marks the
-        # connection dirty, letting the sweep below skip the other
-        # N-1 quiescent connections.
-        watch_addr = self.channel.recv_watch_addr(conn)
-        if watch_addr is not None:
-            st.recv_gated = True
-            self.node.hca.watch_placement(watch_addr,
-                                          st.mark_recv_dirty)
+        self.conn_state[peer] = _ConnState(conn, hdr)
 
     # ------------------------------------------------------------------
     # ADI3: isend / irecv / iprobe
@@ -298,18 +276,11 @@ class Ch3Device(Adi3Device):
             # list(): the lazy connector may attach a connection while
             # a sweep is parked inside a charged copy
             for st in list(self.conn_state.values()):
-                # Clear the dirty flag BEFORE sweeping (a placement
-                # landing mid-sweep must re-mark for the next pass),
-                # and only on gated connections — ungated ones poll
-                # every sweep.  A gated connection is also swept while
-                # the channel says a get has unannounced work
-                # (`recv_pending`).  Skipping a clean recv or an empty
-                # sendq costs no simulated time on any channel whose
-                # empty poll is yield-free, which is exactly what
-                # gating/`recv_watch_addr` certifies.
-                if st.recv_dirty or self.channel.recv_pending(st.conn):
-                    if st.recv_gated:
-                        st.recv_dirty = False
+                # A get the channel calls not ready is an empty poll
+                # (no yield, no side effect), so skipping it costs no
+                # simulated time: the sweep polls only the connections
+                # with something to read, and an empty sendq is free.
+                if self.channel.recv_ready(st.conn):
                     moved |= yield from self._progress_recv(st)
                 if st.sendq:
                     moved |= yield from self._progress_send(st)
@@ -379,9 +350,15 @@ class Ch3Device(Adi3Device):
 
     def _progress_recv(self, st: _ConnState
                        ) -> Generator[None, None, bool]:
+        # Each get is guarded, not the loop head: a header whose
+        # payload is empty must reach _finish_inflight below even when
+        # nothing else is left to read.
+        ready = self.channel.recv_ready
         moved = False
         while True:
             if st.inflight is None:
+                if not ready(st.conn):
+                    return moved
                 want = PKT_SIZE - st.hdr_off
                 try:
                     n = yield from self.channel.get(
@@ -404,6 +381,8 @@ class Ch3Device(Adi3Device):
             msg = st.inflight
             size = msg.env[3]
             if msg.received < size:
+                if not ready(st.conn):
+                    return moved
                 if hasattr(st.conn, "get_ws_hint"):
                     st.conn.get_ws_hint = size
                 remaining = clamp_iov(advance_iov(msg.iov, msg.received),

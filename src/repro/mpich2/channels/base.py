@@ -238,7 +238,16 @@ class RdmaChannel(abc.ABC):
     @abc.abstractmethod
     def get(self, conn: Connection, iov: Sequence[Buffer]
             ) -> Generator[None, None, int]:
-        """Read from the pipe into the iov; returns bytes completed."""
+        """Read from the pipe into the iov; returns bytes completed.
+        Begins with ``if not self.recv_ready(conn): return 0``."""
+
+    @abc.abstractmethod
+    def recv_ready(self, conn: Connection) -> bool:
+        """Whether ``get`` on ``conn`` has anything to do: exactly the
+        negation of its empty poll (§4.3's receiver polls the flag the
+        peer's write fills last).  While it is False, ``get`` returns
+        0 with no yield and no side effect, so a caller may skip the
+        call altogether — CH3's sweep does."""
 
     # -- simulation support ----------------------------------------------
     def wait_hints(self, conn: Connection) -> list:
@@ -246,27 +255,6 @@ class RdmaChannel(abc.ABC):
         productive; the progress engine sleeps on these instead of
         spinning (costs are still charged on wake)."""
         return [self.node.hca.inbound_gate.wait()]
-
-    def recv_watch_addr(self, conn: Connection) -> Optional[int]:
-        """Local address whose inbound RDMA placement signals that
-        ``get`` on ``conn`` may yield data.
-
-        A channel may only return an address if (a) every inbound
-        message is announced by the peer writing that exact word
-        *after* its data is placed, and (b) an empty ``get`` is free
-        of simulated cost and side effects (no yields) — the CH3
-        progress engine then skips the ``get`` entirely between
-        placements, so any would-be empty-poll cost would change
-        timing.  A channel whose word moves (a ring's next slot)
-        keeps the watch on it with ``hca.move_watch``.  ``None`` (the
-        default) keeps the unconditional per-sweep poll."""
-        return None
-
-    def recv_pending(self, conn: Connection) -> bool:
-        """Whether ``get`` on a gated ``conn`` may have work that no
-        placement at its watch address announced; CH3 sweeps the
-        connection while this holds, as if it were marked dirty."""
-        return False
 
     def stall_edges(self) -> list:
         """Wait-for edges this channel can currently explain:

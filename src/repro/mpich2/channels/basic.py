@@ -58,14 +58,6 @@ class BasicChannel(RdmaChannel):
         self._m_tail_updates = m.counter("tail_updates")
         self._m_wire_bytes = m.counter("wire_bytes")
 
-    def recv_watch_addr(self, conn: BasicConnection) -> int:
-        # The peer announces data by RDMA-writing the head replica —
-        # always after the data writes have landed (same QP, in
-        # order) — and an empty `get` returns after one local head
-        # read with no yields, so the basic design satisfies both
-        # conditions for receive gating.
-        return conn.rx_head.buf.addr
-
     @classmethod
     def establish(cls, a: "BasicChannel", b: "BasicChannel") -> None:
         conn_a, conn_b = rc_pair(BasicConnection, a, b)
@@ -142,11 +134,16 @@ class BasicChannel(RdmaChannel):
         # 6. "Return the number of bytes written."
         return n
 
-    def get(self, conn: BasicConnection, iov: Sequence[Buffer]
-            ) -> Generator[None, None, int]:
-        ring_size = self.ch_cfg.ring_size
+    def recv_ready(self, conn: BasicConnection) -> bool:
         # 1. "Check local copies of head and tail pointers to see
         #    whether there is new data available."
+        return conn.rx_head.read() != conn.tail
+
+    def get(self, conn: BasicConnection, iov: Sequence[Buffer]
+            ) -> Generator[None, None, int]:
+        if not self.recv_ready(conn):
+            return 0
+        ring_size = self.ch_cfg.ring_size
         avail = conn.rx_head.read() - conn.tail
         n = min(avail, iov_total(iov))
         if n <= 0:

@@ -199,17 +199,6 @@ class ChunkedChannel(RdmaChannel):
                 yield from self._handle_zc_nak(conn, aux)
             conn.receiver.consume_chunk()
 
-    def recv_watch_addr(self, conn: ChunkedConnection) -> int:
-        # A chunk announces itself by landing at the next slot's flag,
-        # and an empty get returns before any yield; the receiver moves
-        # the watch one slot on as it consumes (RingReceiver.rewatch).
-        return conn.receiver.flag_addr()
-
-    def recv_pending(self, conn: ChunkedConnection) -> bool:
-        # an RDMA read completes on the CQ and a credit return falls
-        # due on consumption: neither is a placement at the flag
-        return conn.zc_read is not None or conn.receiver.credit_due()
-
     def _zc_check_put(self, conn: "ChunkedConnection") -> bool:
         """Whether put() pays the §5 threshold-check/state-machine
         overhead.  Static designs always do; the adaptive channel
@@ -397,12 +386,15 @@ class ChunkedChannel(RdmaChannel):
     # ------------------------------------------------------------------
     # get
     # ------------------------------------------------------------------
+    def recv_ready(self, conn: ChunkedConnection) -> bool:
+        # a read in flight, a chunk landed, or a credit owed: without
+        # one of them the body of get returns 0 without a yield
+        return (conn.zc_read is not None or conn.receiver.ready()
+                or conn.receiver.credit_due())
+
     def get(self, conn: ChunkedConnection, iov: Sequence[Buffer]
             ) -> Generator[None, None, int]:
-        # the empty poll: no read in flight, no chunk, no credit owed —
-        # the body below would return 0 without a yield or a side effect
-        if (conn.zc_read is None and not conn.receiver.ready()
-                and not conn.receiver.credit_due()):
+        if not self.recv_ready(conn):
             return 0
         if self._zc_check_get(conn):
             # §5's check sits on the message path: a poll that finds
@@ -517,10 +509,7 @@ class ChunkedChannel(RdmaChannel):
                 yield from self.regcache.release(mr)
             cur.reset(mark)
             if not conn.sender.is_open():
-                # cannot NAK yet: leave the RTS, and keep the connection
-                # swept until the retry gets through
-                recv.rewatch()
-                return None
+                return None  # cannot NAK yet; leave the RTS, retry
             yield from self._emit_control(conn, KIND_NAK, aux=op_id)
             recv.consume_chunk()
             self.zc_nak_sent += 1

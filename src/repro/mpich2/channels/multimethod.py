@@ -10,7 +10,7 @@ pair, and put/get dispatch on the connection's owner.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence
+from typing import Generator, Sequence
 
 from ...hw.memory import Buffer
 from .base import Connection, RdmaChannel
@@ -65,11 +65,8 @@ class MultiMethodChannel(RdmaChannel):
     def wait_hints(self, conn: Connection) -> list:
         return conn.channel.wait_hints(conn)
 
-    def recv_watch_addr(self, conn: Connection) -> Optional[int]:
-        return conn.channel.recv_watch_addr(conn)
-
-    def recv_pending(self, conn: Connection) -> bool:
-        return conn.channel.recv_pending(conn)
+    def recv_ready(self, conn: Connection) -> bool:
+        return conn.channel.recv_ready(conn)
 
     def finalize(self) -> Generator:
         yield from self.shm.finalize()

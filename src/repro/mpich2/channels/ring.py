@@ -231,30 +231,10 @@ class RingReceiver(CreditReturn):
         return self.ring.sub(base + HDR_SIZE + self.payload_off,
                              payload_len - self.payload_off)
 
-    def flag_addr(self) -> int:
-        """The next slot's leading flag: every chunk is one RDMA write
-        that starts there, so a placement at this address is what
-        makes :meth:`ready` true (§4.3's bottom-fill notification)."""
-        return (self.ring.addr
-                + self.next_chunk % self.nslots * self.chunk_size)
-
     def consume_chunk(self) -> None:
         """Mark the current chunk fully processed."""
-        flag = self.flag_addr()
         self.next_chunk += 1
         self.payload_off = 0
         self.consumed += 1
         self.chunks_received += 1
         self._m_chunks_received.inc()
-        self.rewatch(flag)
-
-    def rewatch(self, old: Optional[int] = None) -> None:
-        """Move a placement watch from ``old`` (default: this slot) to
-        this slot's flag, and run it at once if the chunk there has
-        already landed: it was placed while the watch was elsewhere,
-        or is being left unconsumed for a retry."""
-        flag = self.flag_addr()
-        watch = self.ctx.hca.move_watch(flag if old is None else old,
-                                        flag)
-        if watch is not None and self.ready():
-            watch()

@@ -97,8 +97,15 @@ class ShmChannel(RdmaChannel):
         conn.gate.open()
         return n
 
+    def recv_ready(self, conn: ShmConnection) -> bool:
+        ring = conn.in_ring
+        # lint: allow(falsy-or-default, boolean-valued result)
+        return ring.closed or ring.head() != ring.tail()
+
     def get(self, conn: ShmConnection, iov: Sequence[Buffer]
             ) -> Generator[None, None, int]:
+        if not self.recv_ready(conn):
+            return 0
         ring = conn.in_ring
         if ring.closed:
             raise ChannelBrokenError(

@@ -273,8 +273,16 @@ class SrqChannel(RdmaChannel):
         return n
 
     # -- receive side ------------------------------------------------------
+    def recv_ready(self, conn: SrqConnection) -> bool:
+        # a pool CQE not yet demultiplexed (it may be this flow's), or
+        # bytes already queued on this flow
+        return bool(self._pool.recv_cq.pending()
+                    or self._pool.flow(conn.peer_rank, self.rank))
+
     def get(self, conn: SrqConnection, iov: Sequence[Buffer]
             ) -> Generator[object, object, int]:
+        if not self.recv_ready(conn):
+            return 0
         self._pool.drain()
         q = self._pool.flow(conn.peer_rank, self.rank)
         room = iov_total(iov)

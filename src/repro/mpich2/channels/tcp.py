@@ -111,8 +111,14 @@ class TcpChannel(RdmaChannel):
             sent += n
         return sent
 
+    def recv_ready(self, conn: TcpChannelConnection) -> bool:
+        # lint: allow(falsy-or-default, boolean-valued result)
+        return conn.closed or conn.tcp.available(conn.in_dir) > 0
+
     def get(self, conn: TcpChannelConnection, iov: Sequence[Buffer]
             ) -> Generator[None, None, int]:
+        if not self.recv_ready(conn):
+            return 0
         if conn.closed:
             raise ChannelBrokenError(
                 f"TCP connection from rank {conn.peer_rank} is closed "

@@ -6,6 +6,7 @@ import pytest
 from repro.config import KB, MB, ChannelConfig
 from repro.mpi import (ANY_SOURCE, ANY_TAG, MpiError, TruncateError,
                        run_mpi)
+from repro.mpich2.designs import DESIGNS as ALL_DESIGNS
 
 DESIGNS = ["basic", "piggyback", "pipeline", "zerocopy", "ch3",
            "tcp"]
@@ -46,8 +47,10 @@ class TestBasicSendRecv:
         results, _ = run_mpi(2, prog, design=design)
         assert results[1] is True
 
-    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("design", sorted(ALL_DESIGNS))
     def test_zero_byte_message(self, design):
+        """A header with an empty payload, the last message on its
+        connection: it must complete with nothing left to read."""
         def prog(mpi):
             if mpi.rank == 0:
                 yield from mpi.Send(b"", dest=1, tag=9)
