@@ -25,7 +25,7 @@ import struct
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ...hw.memory import Buffer
-from ...ib.types import Opcode, WcStatus
+from ...ib.types import Opcode, RegistrationError, WcStatus
 from ...tune.controller import CH3_RNDV_THRESHOLD
 from ..adi3 import MpiError, Request, TruncateError
 from ..ch3 import (PKT_EAGER, PKT_RNDV_CTS, PKT_RNDV_FIN, PKT_RNDV_RTS,
@@ -155,7 +155,7 @@ class Ch3RdmaDevice(Ch3Device):
                            "buffer")
         self.tuner.on_recv(peer, size, rndv=True)
         target = iov[0].sub(0, size)
-        mr = yield from self.channel.regcache.register(target.addr, size)
+        mr = yield from self._register(target, peer)
         self.rndv_recvs[(peer, sreq)] = _RndvRecv(req, mr, env)
         cts = self.node.alloc(_CTS_SIZE, "ch3.cts")
         cts.write(struct.pack(_CTS_FMT, target.addr, mr.rkey))
@@ -164,6 +164,19 @@ class Ch3RdmaDevice(Ch3Device):
         op.on_complete = lambda: self.node.mem.free(cts.addr)
         yield from self._progress_send(self.conn_state[peer])
         return None
+
+    def _register(self, buf: Buffer, peer: int) -> Generator:
+        """Pin one side of a rendezvous.  A refused registration has
+        no ring to fall back on at this layer: surface an MPI error,
+        as CH3 does for a dead queue pair."""
+        try:
+            mr = yield from self.channel.regcache.register(buf.addr,
+                                                           len(buf))
+        except RegistrationError as exc:
+            raise MpiError(
+                f"rank {self.rank}: rendezvous with rank {peer} could "
+                f"not register its buffer: {exc}") from exc
+        return mr
 
     # ------------------------------------------------------------------
     # control packets
@@ -213,8 +226,8 @@ class Ch3RdmaDevice(Ch3Device):
         state = self.rndv_sends.get(sreq)
         if state is None:
             raise MpiError(f"CTS for unknown rendezvous send {sreq}")
-        state.mr = yield from self.channel.regcache.register(
-            state.buf.addr, state.size)
+        state.mr = yield from self._register(state.buf.sub(0, state.size),
+                                             state.peer)
         conn = self.conn_state[state.peer].conn
         wr = yield from self.channel.ctx.rdma_write(
             conn.qp,

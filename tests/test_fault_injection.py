@@ -354,6 +354,56 @@ class TestMpiErrorSurfacing:
         assert all(r.startswith("mpi-error:") for r in results)
         assert all("failed" in r for r in results)
 
+    @staticmethod
+    def _rndv(mpi, failing):
+        """A 40 KB rendezvous whose ``failing`` rank cannot register
+        its buffer (rank 1 before its CTS, rank 0 on receiving it).
+        The other rank does not wait for the transfer; both then meet
+        at a barrier over the same connection."""
+        buf = mpi.alloc(40 * 1024)
+        buf.write(bytes(range(256)) * 160)
+        out = "ok"
+        try:
+            if mpi.rank == failing:
+                if mpi.rank == 0:
+                    yield from mpi.Send(buf, dest=1, tag=0)
+                else:
+                    yield from mpi.Recv(buf, source=0, tag=0)
+            elif mpi.rank == 0:
+                yield from mpi.Isend(buf, dest=1, tag=0)
+            else:
+                yield from mpi.Irecv(buf, source=0, tag=0)
+        except MpiError as exc:
+            out = f"mpi-error: {exc}"
+        yield from mpi.Barrier()
+        return out
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    @pytest.mark.parametrize("design", ["ch3", "adaptive"])
+    def test_rendezvous_registration_failure_raises_mpi_error(
+            self, design, failing):
+        plan = FaultPlan(reg_failures={failing: 1})
+        results, _ = run_mpi(2, self._rndv, design=design, faults=plan,
+                             args=(failing,))
+        assert results[1 - failing] == "ok"
+        assert results[failing].startswith("mpi-error:")
+        assert "register" in results[failing]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_zero_copy_registration_failure_still_delivers(self, failing):
+        def prog(mpi):
+            buf = mpi.alloc(40 * 1024)
+            if mpi.rank == 0:
+                buf.write(bytes(range(256)) * 160)
+                yield from mpi.Send(buf, dest=1, tag=0)
+            else:
+                yield from mpi.Recv(buf, source=0, tag=0)
+            return bytes(buf.read())
+
+        results, _ = run_mpi(2, prog, design="zerocopy",
+                             faults=FaultPlan(reg_failures={failing: 1}))
+        assert results[1] == bytes(range(256)) * 160
+
 
 class TestNoFaultRegressionGuard:
     """With an empty FaultPlan every benchmark number is preserved
