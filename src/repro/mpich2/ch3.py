@@ -276,10 +276,10 @@ class Ch3Device(Adi3Device):
             # list(): the lazy connector may attach a connection while
             # a sweep is parked inside a charged copy
             for st in list(self.conn_state.values()):
-                # A get the channel calls not ready is an empty poll
-                # (no yield, no side effect), so skipping it costs no
-                # simulated time: the sweep polls only the connections
-                # with something to read, and an empty sendq is free.
+                # While the channel says a connection is not ready,
+                # its get is an empty poll (no yield, no side effect):
+                # skipping it, like skipping an empty sendq, costs no
+                # simulated time.
                 if self.channel.recv_ready(st.conn):
                     moved |= yield from self._progress_recv(st)
                 if st.sendq:
