@@ -241,6 +241,7 @@ class RdmaChannel(abc.ABC):
         """Read from the pipe into the iov; returns bytes completed.
         Begins with ``if not self.recv_ready(conn): return 0``."""
 
+    # -- simulation support ----------------------------------------------
     @abc.abstractmethod
     def recv_ready(self, conn: Connection) -> bool:
         """Whether ``get`` on ``conn`` has anything to do: exactly the
@@ -249,7 +250,6 @@ class RdmaChannel(abc.ABC):
         0 with no yield and no side effect, so a caller may skip the
         call altogether — CH3's sweep does."""
 
-    # -- simulation support ----------------------------------------------
     def wait_hints(self, conn: Connection) -> list:
         """Events whose firing may make put/get on ``conn``
         productive; the progress engine sleeps on these instead of
