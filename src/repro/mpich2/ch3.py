@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, Generator, List, Optional, Sequence
 
-from ..config import ChannelConfig, HardwareConfig
+from ..config import HardwareConfig
 from ..hw.memory import Buffer
 from ..sim.sync import Fifo
 from ..ib.types import QPError
@@ -33,7 +33,7 @@ from .channels.base import (ChannelBrokenError, Connection, RdmaChannel,
                             advance_iov, clamp_iov, iov_total)
 
 __all__ = ["Ch3Device", "PKT_SIZE", "PKT_EAGER", "PKT_RNDV_RTS",
-           "PKT_RNDV_CTS", "PKT_RNDV_FIN", "pack_header",
+           "PKT_RNDV_CTS", "PKT_RNDV_FIN", "PKT_RNDV_NAK", "pack_header",
            "unpack_header"]
 
 #: CH3 packet header: kind u8, pad, src i32, tag i32, context i32,
@@ -46,6 +46,7 @@ PKT_EAGER = 1
 PKT_RNDV_RTS = 2
 PKT_RNDV_CTS = 3
 PKT_RNDV_FIN = 4
+PKT_RNDV_NAK = 5
 
 
 def pack_header(kind: int, src: int, tag: int, context: int, size: int,

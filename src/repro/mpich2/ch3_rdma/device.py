@@ -13,6 +13,9 @@ Fig. 12):
 4. sender -> receiver: FIN control packet; both sides release their
    registrations (kept warm by the registration cache).
 
+A side that cannot register its buffer (step 2 or 3) fails its own
+request and sends the peer a NAK, which fails the peer's request too.
+
 Because the data leg is an RDMA write, this design inherits the raw
 write bandwidth curve of Fig. 15 — which is why it outperforms the
 RDMA-*read*-based zero-copy channel for 32 KB–256 KB messages
@@ -28,7 +31,7 @@ from ...hw.memory import Buffer
 from ...ib.types import Opcode, RegistrationError, WcStatus
 from ...tune.controller import CH3_RNDV_THRESHOLD
 from ..adi3 import MpiError, Request, TruncateError
-from ..ch3 import (PKT_EAGER, PKT_RNDV_CTS, PKT_RNDV_FIN, PKT_RNDV_RTS,
+from ..ch3 import (PKT_RNDV_CTS, PKT_RNDV_FIN, PKT_RNDV_NAK, PKT_RNDV_RTS,
                    Ch3Device, _Inflight, _Unexpected, _match)
 from ..channels.base import iov_total
 
@@ -155,7 +158,12 @@ class Ch3RdmaDevice(Ch3Device):
                            "buffer")
         self.tuner.on_recv(peer, size, rndv=True)
         target = iov[0].sub(0, size)
-        mr = yield from self._register(target, peer)
+        try:
+            mr = yield from self.channel.regcache.register(target.addr,
+                                                           size)
+        except RegistrationError as exc:
+            yield from self._refuse(peer, sreq, req, exc)
+            return None
         self.rndv_recvs[(peer, sreq)] = _RndvRecv(req, mr, env)
         cts = self.node.alloc(_CTS_SIZE, "ch3.cts")
         cts.write(struct.pack(_CTS_FMT, target.addr, mr.rkey))
@@ -165,18 +173,17 @@ class Ch3RdmaDevice(Ch3Device):
         yield from self._progress_send(self.conn_state[peer])
         return None
 
-    def _register(self, buf: Buffer, peer: int) -> Generator:
-        """Pin one side of a rendezvous.  A refused registration has
-        no ring to fall back on at this layer: surface an MPI error,
-        as CH3 does for a dead queue pair."""
-        try:
-            mr = yield from self.channel.regcache.register(buf.addr,
-                                                           len(buf))
-        except RegistrationError as exc:
-            raise MpiError(
-                f"rank {self.rank}: rendezvous with rank {peer} could "
-                f"not register its buffer: {exc}") from exc
-        return mr
+    def _refuse(self, peer: int, sreq: int, req: Request,
+                exc: RegistrationError) -> Generator:
+        """Our side of rendezvous ``sreq`` could not be pinned, and
+        this layer has no ring to fall back on: fail our request and
+        NAK the peer, whose half of the rendezvous fails with it."""
+        req.fail(MpiError(
+            f"rank {self.rank}: rendezvous with rank {peer} could not "
+            f"register its buffer: {exc}"))
+        self._enqueue_packet(peer, PKT_RNDV_NAK, 0, 0, 0, [], sreq=sreq)
+        yield from self._progress_send(self.conn_state[peer])
+        return None
 
     # ------------------------------------------------------------------
     # control packets
@@ -217,6 +224,22 @@ class Ch3RdmaDevice(Ch3Device):
             state.req.complete(esrc, etag, esize)
             self.rndv_completed += 1
             return None
+        if kind == PKT_RNDV_NAK:
+            # sreq names the sender's request, and request ids are
+            # unique across ranks: we hold one half, the receive (the
+            # sender refused) or the send (the receiver refused)
+            error = MpiError(f"rank {self.rank}: rank {src} could not "
+                             f"register its side of the rendezvous")
+            recv = self.rndv_recvs.pop((src, sreq), None)
+            if recv is not None:
+                yield from self.channel.regcache.release(recv.mr)
+                recv.req.fail(error)
+                return None
+            send = self.rndv_sends.pop(sreq, None)
+            if send is None:
+                raise MpiError(f"NAK for unknown rendezvous {sreq}")
+            send.req.fail(error)
+            return None
         yield from super()._handle_control_packet(
             st, kind, src, tag, context, size, sreq)
         return None
@@ -226,8 +249,13 @@ class Ch3RdmaDevice(Ch3Device):
         state = self.rndv_sends.get(sreq)
         if state is None:
             raise MpiError(f"CTS for unknown rendezvous send {sreq}")
-        state.mr = yield from self._register(state.buf.sub(0, state.size),
-                                             state.peer)
+        try:
+            state.mr = yield from self.channel.regcache.register(
+                state.buf.addr, state.size)
+        except RegistrationError as exc:
+            del self.rndv_sends[sreq]
+            yield from self._refuse(state.peer, sreq, state.req, exc)
+            return None
         conn = self.conn_state[state.peer].conn
         wr = yield from self.channel.ctx.rdma_write(
             conn.qp,

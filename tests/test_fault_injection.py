@@ -11,7 +11,7 @@ from repro.cluster import build_cluster
 from repro.config import US
 from repro.faults import FaultPlan, FaultState, LinkFaults
 from repro.ib.types import QPError, RegistrationError, WcStatus
-from repro.mpi.runner import run_mpi
+from repro.mpi.runner import run_mpi, run_world
 from repro.mpich2.adi3 import MpiError
 
 
@@ -355,24 +355,17 @@ class TestMpiErrorSurfacing:
         assert all("failed" in r for r in results)
 
     @staticmethod
-    def _rndv(mpi, failing):
-        """A 40 KB rendezvous whose ``failing`` rank cannot register
-        its buffer (rank 1 before its CTS, rank 0 on receiving it).
-        The other rank does not wait for the transfer; both then meet
-        at a barrier over the same connection."""
+    def _rndv(mpi):
+        """A blocking 40 KB rendezvous, then a barrier over the same
+        connection."""
         buf = mpi.alloc(40 * 1024)
         buf.write(bytes(range(256)) * 160)
         out = "ok"
         try:
-            if mpi.rank == failing:
-                if mpi.rank == 0:
-                    yield from mpi.Send(buf, dest=1, tag=0)
-                else:
-                    yield from mpi.Recv(buf, source=0, tag=0)
-            elif mpi.rank == 0:
-                yield from mpi.Isend(buf, dest=1, tag=0)
+            if mpi.rank == 0:
+                yield from mpi.Send(buf, dest=1, tag=0)
             else:
-                yield from mpi.Irecv(buf, source=0, tag=0)
+                yield from mpi.Recv(buf, source=0, tag=0)
         except MpiError as exc:
             out = f"mpi-error: {exc}"
         yield from mpi.Barrier()
@@ -382,12 +375,19 @@ class TestMpiErrorSurfacing:
     @pytest.mark.parametrize("design", ["ch3", "adaptive"])
     def test_rendezvous_registration_failure_raises_mpi_error(
             self, design, failing):
+        """Rank 1 refuses before its CTS, rank 0 on receiving it; the
+        refusing rank's NAK fails the peer's request too, so both
+        blocking calls raise and the barrier still completes."""
         plan = FaultPlan(reg_failures={failing: 1})
-        results, _ = run_mpi(2, self._rndv, design=design, faults=plan,
-                             args=(failing,))
-        assert results[1 - failing] == "ok"
+        results, world = run_world(2, self._rndv, design=design,
+                                   faults=plan)
         assert results[failing].startswith("mpi-error:")
-        assert "register" in results[failing]
+        assert "could not register its buffer" in results[failing]
+        assert results[1 - failing].startswith("mpi-error:")
+        assert "could not register its side" in results[1 - failing]
+        assert world.cluster.faults.stats.reg_failures == 1
+        for dev in world.devices:
+            assert not dev.rndv_sends and not dev.rndv_recvs
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_zero_copy_registration_failure_still_delivers(self, failing):
