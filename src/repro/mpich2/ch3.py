@@ -351,15 +351,16 @@ class Ch3Device(Adi3Device):
 
     def _progress_recv(self, st: _ConnState
                        ) -> Generator[None, None, bool]:
-        # Each get is guarded, not the loop head: a header whose
-        # payload is empty must reach _finish_inflight below even when
+        # The sweep asked recv_ready before calling us, which serves
+        # the first get.  After each step the predicate is asked again
+        # before any further get, but never before _finish_inflight: a
+        # header whose payload is empty must complete even when
         # nothing else is left to read.
         ready = self.channel.recv_ready
         moved = False
         while True:
-            if st.inflight is None:
-                if not ready(st.conn):
-                    return moved
+            msg = st.inflight
+            if msg is None:
                 want = PKT_SIZE - st.hdr_off
                 try:
                     n = yield from self.channel.get(
@@ -372,34 +373,38 @@ class Ch3Device(Adi3Device):
                     return moved
                 moved = True
                 st.hdr_off += n
-                if st.hdr_off < PKT_SIZE:
-                    continue
-                st.hdr_off = 0
-                yield from self.channel.ctx.cpu.work(
-                    self.cfg.ch3_packet_overhead)
-                yield from self._dispatch_header(st, st.hdr_buf.read())
-                continue
+                if st.hdr_off == PKT_SIZE:
+                    st.hdr_off = 0
+                    yield from self.channel.ctx.cpu.work(
+                        self.cfg.ch3_packet_overhead)
+                    yield from self._dispatch_header(st,
+                                                     st.hdr_buf.read())
+            else:
+                size = msg.env[3]
+                if msg.received < size:
+                    if hasattr(st.conn, "get_ws_hint"):
+                        st.conn.get_ws_hint = size
+                    remaining = clamp_iov(
+                        advance_iov(msg.iov, msg.received),
+                        size - msg.received)
+                    try:
+                        n = yield from self.channel.get(st.conn,
+                                                        remaining)
+                    except (QPError, ChannelBrokenError) as exc:
+                        raise MpiError(
+                            f"rank {self.rank}: connection to rank "
+                            f"{st.conn.peer_rank} failed: {exc}"
+                        ) from exc
+                    if n == 0:
+                        return moved
+                    moved = True
+                    msg.received += n
+                if msg.received >= size:
+                    yield from self._finish_inflight(st)
             msg = st.inflight
-            size = msg.env[3]
-            if msg.received < size:
-                if not ready(st.conn):
-                    return moved
-                if hasattr(st.conn, "get_ws_hint"):
-                    st.conn.get_ws_hint = size
-                remaining = clamp_iov(advance_iov(msg.iov, msg.received),
-                                      size - msg.received)
-                try:
-                    n = yield from self.channel.get(st.conn, remaining)
-                except (QPError, ChannelBrokenError) as exc:
-                    raise MpiError(
-                        f"rank {self.rank}: connection to rank "
-                        f"{st.conn.peer_rank} failed: {exc}") from exc
-                if n == 0:
-                    return moved
-                moved = True
-                msg.received += n
-            if msg.received >= size:
-                yield from self._finish_inflight(st)
+            get_next = msg is None or msg.received < msg.env[3]
+            if get_next and not ready(st.conn):
+                return moved
 
     def _dispatch_header(self, st: _ConnState, raw: bytes) -> Generator:
         kind, src, tag, context, size, sreq = unpack_header(raw)

@@ -144,8 +144,8 @@ class _Ungated:
 
 
 def _run(design, prog, monkeypatch, ungated, **kw):
-    """Run ``prog`` on ``design``; returns (clock, events, delivered
-    payload hashes, state record)."""
+    """Run ``prog`` on ``design``; returns the record (clock, events,
+    delivered payload hashes, state) and the world."""
     if ungated:
         build = runner.build_world
 
@@ -160,19 +160,23 @@ def _run(design, prog, monkeypatch, ungated, **kw):
                                 args=(out,), prog=prog, **kw)
     monkeypatch.undo()
     delivered = [hashlib.sha1(bytes(p)).hexdigest() for p in out]
-    return (repr(world.sim.now), world.sim.events_processed, delivered,
-            left_behind(world.sim.now, world.sim.events_processed,
-                        delivered, world.cluster))
+    record = (repr(world.sim.now), world.sim.events_processed, delivered,
+              left_behind(world.sim.now, world.sim.events_processed,
+                          delivered, world.cluster))
+    return record, world
 
 
 def _assert_gated_equals_ungated(design, prog, monkeypatch, **kw):
-    gated = _run(design, prog, monkeypatch, False, **kw)
-    ungated = _run(design, prog, monkeypatch, True, **kw)
+    """Returns the gated run's record and world."""
+    gated, world = _run(design, prog, monkeypatch, False, **kw)
+    ungated, _ = _run(design, prog, monkeypatch, True, **kw)
     if issubclass(DESIGNS[design].channel, SrqChannel):
         # the pool CQ's poll-depth histogram sees the skipped polls:
         # only the state hash may differ
-        gated, ungated = gated[:3], ungated[:3]
-    assert gated == ungated
+        assert gated[:3] == ungated[:3]
+    else:
+        assert gated == ungated
+    return gated, world
 
 
 def _ring_then_alltoall(mpi, out):
@@ -195,10 +199,19 @@ def _ring_then_alltoall(mpi, out):
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 @pytest.mark.parametrize("design", sorted(DESIGNS))
 def test_gated_equals_ungated(design, geometry, monkeypatch):
-    """8 ranks on 4 nodes, so multimethod runs both legs and mux
+    """16 ranks, one per node."""
+    _assert_gated_equals_ungated(design, _ring_then_alltoall, monkeypatch,
+                                 nranks=16, ch_cfg=GEOMETRIES[geometry])
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_gated_equals_ungated_four_per_node(design, geometry,
+                                            monkeypatch):
+    """16 ranks on 4 nodes, so multimethod runs both legs and mux
     shares its node pools."""
     _assert_gated_equals_ungated(design, _ring_then_alltoall, monkeypatch,
-                                 nranks=8, nnodes=4,
+                                 nranks=16, nnodes=4,
                                  ch_cfg=GEOMETRIES[geometry])
 
 
@@ -228,10 +241,9 @@ def _nak_while_ring_full(mpi, out):
 
 @pytest.mark.parametrize("design", ("zerocopy", "multimethod"))
 def test_a_refused_rts_keeps_its_connection_swept(design, monkeypatch):
-    plan = FaultPlan(reg_failures={1: 2})
-    _assert_gated_equals_ungated(design, _nak_while_ring_full,
-                                 monkeypatch, nranks=2, faults=plan)
-    _, _, delivered, _ = _run(design, _nak_while_ring_full, monkeypatch,
-                              False, nranks=2, faults=plan)
+    (_, _, delivered, _), world = _assert_gated_equals_ungated(
+        design, _nak_while_ring_full, monkeypatch, nranks=2,
+        faults=FaultPlan(reg_failures={1: 2}))
     expect = bytes((np.arange(40 * KB) * 5).astype(np.uint8))
     assert delivered == [hashlib.sha1(expect).hexdigest()]
+    assert world.cluster.faults.stats.reg_failures == 2
