@@ -272,7 +272,7 @@ class Ch3Device(Adi3Device):
             # (copy/CPU costs), so an arrival during it would otherwise
             # pulse the gate with nobody listening and the subsequent
             # sleep would never wake (lost-wakeup race).
-            hints = self._wait_hints() if block else None
+            wake = self.channel.wakeup() if block else None
             moved = False
             # list(): the lazy connector may attach a connection while
             # a sweep is parked inside a charged copy
@@ -288,7 +288,7 @@ class Ch3Device(Adi3Device):
             moved |= yield from self._extra_progress()
             if moved or not block:
                 return moved
-            yield self.node.cluster.sim.any_of(hints)
+            yield wake
             yield from self.channel.ctx.cpu.work(self.cfg.cq_poll_cpu)
 
     def _extra_progress(self) -> Generator[None, None, bool]:
@@ -296,22 +296,6 @@ class Ch3Device(Adi3Device):
         here)."""
         return False
         yield  # pragma: no cover; lint: allow(silent-generator, intentional empty generator)
-
-    def _wait_hints(self) -> list:
-        hints = []
-        per_conn = self.channel.hint_per_connection
-        for st in self.conn_state.values():
-            hints.extend(self.channel.wait_hints(st.conn))
-            if not per_conn:
-                break  # IB designs share one per-node gate
-        if not hints:
-            if self.connector is not None:
-                # no connections yet: sleep on the node gate, which the
-                # connector pulses when a peer attaches to us
-                hints.append(self.node.hca.inbound_gate.wait())
-            else:
-                hints.append(self.node.cluster.sim.timeout(1e-6))
-        return hints
 
     def _progress_send(self, st: _ConnState
                        ) -> Generator[None, None, bool]:

@@ -33,6 +33,7 @@ from typing import Dict, Generator, List, Optional, Sequence
 from ...config import ChannelConfig, HardwareConfig
 from ...hw.memory import Buffer
 from ...ib.verbs import VapiContext
+from ...sim.engine import Event
 from ...tune import NULL_TUNER
 
 __all__ = ["RdmaChannel", "Connection", "IovCursor", "advance_iov",
@@ -189,10 +190,6 @@ class RdmaChannel(abc.ABC):
     listed in :mod:`repro.mpich2.channels`.
     """
 
-    #: True when wait hints differ per connection (shared-memory
-    #: gates); IB designs share one per-node gate.
-    hint_per_connection: bool = False
-
     def __init__(self, *, rank: int, node, ctx: VapiContext,
                  cfg: Optional[HardwareConfig] = None,
                  ch_cfg: Optional[ChannelConfig] = None):
@@ -250,11 +247,18 @@ class RdmaChannel(abc.ABC):
         0 with no yield and no side effect, so a caller may skip the
         call altogether — CH3's sweep does."""
 
+    def wakeup(self) -> Event:
+        """One event that fires when put or get on some connection may
+        have become productive; the progress engine arms it before a
+        blocking sweep and sleeps on it (costs are still charged on
+        wake).  IB designs share the node's inbound gate, which every
+        placement, completion and lazy connect opens."""
+        return self.node.hca.inbound_gate.wait()
+
     def wait_hints(self, conn: Connection) -> list:
-        """Events whose firing may make put/get on ``conn``
-        productive; the progress engine sleeps on these instead of
-        spinning (costs are still charged on wake)."""
-        return [self.node.hca.inbound_gate.wait()]
+        """``[self.wakeup()]``: for callers that sleep on a list of
+        events (``benchmarks/suite/tracing.py``'s channel rung)."""
+        return [self.wakeup()]
 
     def stall_edges(self) -> list:
         """Wait-for edges this channel can currently explain:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Generator, Sequence
 
 from ...hw.memory import Buffer
+from ...sim.engine import Event
 from .base import Connection, RdmaChannel
 from .chunked import ZeroCopyChannel
 from .shm import ShmChannel
@@ -21,8 +22,6 @@ __all__ = ["MultiMethodChannel"]
 
 
 class MultiMethodChannel(RdmaChannel):
-    hint_per_connection = True
-
     def __init__(self, **kw):
         super().__init__(**kw)
         sub = dict(rank=self.rank, node=self.node, ctx=self.ctx,
@@ -62,8 +61,13 @@ class MultiMethodChannel(RdmaChannel):
         result = yield from conn.channel.get(conn, iov)
         return result
 
-    def wait_hints(self, conn: Connection) -> list:
-        return conn.channel.wait_hints(conn)
+    def wakeup(self) -> Event:
+        # one flat condition: each shared-memory pair's gate, plus one
+        # waiter on the inbound gate for every network connection
+        events = [conn.gate.wait() for conn in self.shm.conns.values()]
+        if self.net.conns:
+            events.append(self.net.wakeup())
+        return self.node.cluster.sim.first_of(events)
 
     def recv_ready(self, conn: Connection) -> bool:
         return conn.channel.recv_ready(conn)

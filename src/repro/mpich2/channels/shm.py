@@ -14,6 +14,7 @@ import struct
 from typing import Generator, Sequence
 
 from ...hw.memory import Buffer
+from ...sim.engine import Event
 from ...sim.sync import Gate
 from .base import (ChannelBrokenError, ChannelError, Connection,
                    IovCursor, RdmaChannel, iov_total)
@@ -60,8 +61,6 @@ class ShmConnection(Connection):
 
 
 class ShmChannel(RdmaChannel):
-    hint_per_connection = True
-
     @classmethod
     def establish(cls, a: "ShmChannel", b: "ShmChannel") -> None:
         if a.node is not b.node:
@@ -74,8 +73,9 @@ class ShmChannel(RdmaChannel):
         a.conns[b.rank] = ShmConnection(a, b.rank, ring_ab, ring_ba, gate)
         b.conns[a.rank] = ShmConnection(b, a.rank, ring_ba, ring_ab, gate)
 
-    def wait_hints(self, conn: ShmConnection) -> list:
-        return [conn.gate.wait()]
+    def wakeup(self) -> Event:
+        return self.node.cluster.sim.first_of(
+            [conn.gate.wait() for conn in self.conns.values()])
 
     def put(self, conn: ShmConnection, iov: Sequence[Buffer]
             ) -> Generator[None, None, int]:

@@ -15,6 +15,7 @@ from typing import Deque, Generator, Sequence, Tuple
 
 from ...hw.memory import Buffer
 from ...net.ipoib import TcpConnection, TcpStack
+from ...sim.engine import Event
 from .base import (ChannelBrokenError, ChannelError, Connection,
                    IovCursor, RdmaChannel, iov_total)
 
@@ -54,8 +55,6 @@ def tcp_closed(tcp: TcpConnection) -> bool:
 
 
 class TcpChannel(RdmaChannel):
-    hint_per_connection = True
-
     def __init__(self, **kw):
         super().__init__(**kw)
         self.stack = TcpStack(self.node.cluster.sim, self.node,
@@ -67,9 +66,12 @@ class TcpChannel(RdmaChannel):
         a.conns[b.rank] = TcpChannelConnection(a, b.rank, tcp, 0)
         b.conns[a.rank] = TcpChannelConnection(b, a.rank, tcp, 1)
 
-    def wait_hints(self, conn: TcpChannelConnection) -> list:
-        return [conn.tcp.wait_rx(conn.in_dir),
-                conn.tcp.wait_credit(conn.out_dir)]
+    def wakeup(self) -> Event:
+        events = []
+        for conn in self.conns.values():
+            events += (conn.tcp.wait_rx(conn.in_dir),
+                       conn.tcp.wait_credit(conn.out_dir))
+        return self.node.cluster.sim.first_of(events)
 
     #: kernel-internal processing quantum: the stack hands the NIC
     #: bursts of this size, so successive bursts pipeline (softirq tx

@@ -13,6 +13,7 @@ from .engine import (
     AnyOf,
     DeadlockError,
     Event,
+    FirstOf,
     Interrupt,
     Process,
     SimulationError,
@@ -23,7 +24,7 @@ from .fluid import Flow, FluidNetwork, FluidResource
 from .sync import Gate, Resource, Store
 
 __all__ = [
-    "Simulator", "Event", "Timeout", "Process", "AnyOf", "AllOf",
+    "Simulator", "Event", "Timeout", "Process", "AnyOf", "FirstOf", "AllOf",
     "Interrupt", "SimulationError", "DeadlockError",
     "Store", "Resource", "Gate",
     "FluidResource", "FluidNetwork", "Flow",

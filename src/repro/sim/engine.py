@@ -88,6 +88,7 @@ __all__ = [
     "Timeout",
     "Process",
     "AnyOf",
+    "FirstOf",
     "AllOf",
     "Interrupt",
     "SimulationError",
@@ -338,6 +339,26 @@ class AnyOf(_Condition):
             self.succeed(event)
 
 
+class FirstOf(AnyOf):
+    """An :class:`AnyOf` that subscribes to its events only when the
+    first callback is added (a process yields it): armed ahead of time
+    and dropped unwaited, it schedules nothing.  With no events it
+    never fires."""
+
+    __slots__ = ()
+
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+        Event.__init__(self, sim)
+        self.events = list(events)
+        self._pending = 0
+
+    def add_callback(self, cb: Callable[["Event"], None]) -> None:
+        if self._callbacks == []:
+            for ev in self.events:
+                ev.add_callback(self._check)
+        super().add_callback(cb)
+
+
 class AllOf(_Condition):
     """Fires when all of ``events`` have fired; value is the list of
     their values (in construction order)."""
@@ -509,6 +530,9 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
+
+    def first_of(self, events: Iterable[Event]) -> FirstOf:
+        return FirstOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -41,7 +41,8 @@ def make_channel_pair(design: str, cfg: Optional[HardwareConfig] = None,
 
 
 def put_all(cluster: Cluster, chan, conn, iov: Sequence[Buffer]):
-    """Blocking helper: put the whole iov, waiting on channel hints."""
+    """Blocking helper: put the whole iov, sleeping on the channel's
+    wakeup."""
     iov = list(iov)
     total = iov_total(iov)
     done = 0
@@ -51,7 +52,7 @@ def put_all(cluster: Cluster, chan, conn, iov: Sequence[Buffer]):
             done += n
             iov = advance_iov(iov, n)
         else:
-            yield cluster.sim.any_of(chan.wait_hints(conn))
+            yield chan.wakeup()
     return done
 
 
@@ -66,7 +67,7 @@ def get_all(cluster: Cluster, chan, conn, iov: Sequence[Buffer]):
             done += n
             iov = advance_iov(iov, n)
         else:
-            yield cluster.sim.any_of(chan.wait_hints(conn))
+            yield chan.wakeup()
     return done
 
 

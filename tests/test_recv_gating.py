@@ -104,7 +104,7 @@ def test_ready_steps_through_a_zero_copy_stream():
 
     def one_get():
         while not ch1.recv_ready(c1):
-            yield cluster.sim.any_of(ch1.wait_hints(c1))
+            yield ch1.wakeup()
         return (yield from ch1.get(c1, [dst]))
 
     # the sender waits for the ACK the next get sends: a daemon here
