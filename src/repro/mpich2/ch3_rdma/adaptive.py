@@ -1,21 +1,18 @@
 """CH3 device for the adaptive design.
 
 Extends the §6 rendezvous device with the controller consult/feed
-points and a budgeted batched completion drain:
+points:
 
 * every send consults ``tuner.rndv_threshold(peer)`` instead of the
   static §6 threshold, and feeds the controller the message size and
   the send-queue depth (its streaming/latency classifier input);
-* the progress engine drains send CQs in bounded batches
-  (``repro.tune.controller.CQ_POLL_BUDGET``), charging one poll cost
-  per batch rather than one per CQE, and hands zero-copy read
-  completions back to the channel's state machine (both protocols
-  share the send CQ).
+* the base device's completion drain charges one poll cost per batch
+  of ``tuner.cq_budget`` CQEs (``repro.tune.controller.CQ_POLL_BUDGET``
+  here), and this device hands zero-copy read completions back to
+  the channel's state machine (both protocols share the send CQ).
 """
 
 from __future__ import annotations
-
-from typing import Generator
 
 from ...ib.types import Opcode, WcStatus
 from ...tune.controller import CH3_RNDV_THRESHOLD
@@ -40,21 +37,6 @@ class Ch3AdaptiveDevice(Ch3RdmaDevice):
             1 for s in self.rndv_sends.values() if s.peer == dest)
         self.tuner.on_send(dest, size, depth=depth, rndv=use)
         return use
-
-    def _extra_progress(self) -> Generator[None, None, bool]:
-        moved = False
-        budget = self.tuner.cq_budget(1)
-        for peer, st in self.conn_state.items():
-            cq = st.conn.qp.send_cq
-            while cq.pending():
-                batch = self.channel.ctx.poll_cq_many(cq, budget)
-                # one poll cost amortized over the whole batch
-                yield from self.channel.ctx.cpu.work(
-                    self.cfg.cq_poll_cpu)
-                for cqe in batch:
-                    moved |= yield from self._reap_completion(
-                        peer, st, cqe)
-        return moved
 
     def _reap_completion(self, peer: int, st, cqe
                          ) -> Generator[None, None, bool]:

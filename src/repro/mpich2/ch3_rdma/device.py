@@ -270,14 +270,18 @@ class Ch3RdmaDevice(Ch3Device):
     # ------------------------------------------------------------------
     def _extra_progress(self) -> Generator[None, None, bool]:
         moved = False
+        # one poll cost per batch: the static designs' budget is one
+        # CQE, the adaptive controller's is CQ_POLL_BUDGET
+        budget = self.tuner.cq_budget(1)
         for peer, st in self.conn_state.items():
-            while True:
-                cqe = self.channel.ctx.poll_cq(st.conn.qp.send_cq)
-                if cqe is None:
-                    break
+            cq = st.conn.qp.send_cq
+            while cq.pending():
+                batch = self.channel.ctx.poll_cq_many(cq, budget)
                 yield from self.channel.ctx.cpu.work(
                     self.cfg.cq_poll_cpu)
-                moved |= yield from self._reap_completion(peer, st, cqe)
+                for cqe in batch:
+                    moved |= yield from self._reap_completion(
+                        peer, st, cqe)
         return moved
 
     def _reap_completion(self, peer: int, st, cqe
