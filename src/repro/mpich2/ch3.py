@@ -302,17 +302,10 @@ class Ch3Device(Adi3Device):
         moved = False
         while st.sendq:
             op = st.sendq[0]
-            if hasattr(st.conn, "put_ws_hint"):
-                st.conn.put_ws_hint = op.payload_size
+            st.conn.put_ws_hint = op.payload_size
             remaining = advance_iov(op.iov, op.offset)
-            try:
-                n = yield from self.channel.put(st.conn, remaining)
-            except (QPError, ChannelBrokenError) as exc:
-                # unrecoverable transport failure: surface an MPI
-                # error instead of hanging the rank
-                raise MpiError(
-                    f"rank {self.rank}: connection to rank "
-                    f"{st.conn.peer_rank} failed: {exc}") from exc
+            n = yield from self._transport(
+                st, self.channel.put(st.conn, remaining))
             if n == 0:
                 break
             moved = True
@@ -325,6 +318,18 @@ class Ch3Device(Adi3Device):
                 break
         return moved
 
+    def _transport(self, st: _ConnState, call: Generator
+                   ) -> Generator[None, None, int]:
+        """Run one channel put or get; an unrecoverable transport
+        failure surfaces as an MPI error instead of hanging the
+        rank."""
+        try:
+            return (yield from call)
+        except (QPError, ChannelBrokenError) as exc:
+            raise MpiError(
+                f"rank {self.rank}: connection to rank "
+                f"{st.conn.peer_rank} failed: {exc}") from exc
+
     def _send_op_complete(self, st: _ConnState, op: _SendOp) -> None:
         if op.kind == PKT_EAGER:
             self.eager_sent += 1
@@ -335,56 +340,44 @@ class Ch3Device(Adi3Device):
 
     def _progress_recv(self, st: _ConnState
                        ) -> Generator[None, None, bool]:
-        # The sweep asked recv_ready before calling us, which serves
-        # the first get.  After each step the predicate is asked again
-        # before any further get, but never before _finish_inflight: a
-        # header whose payload is empty must complete even when
-        # nothing else is left to read.
+        # One get per step, into the rest of the header or of the
+        # payload.  The sweep asked recv_ready before calling us, which
+        # serves the first get.  After each step the predicate is asked
+        # again before any further get, but never before
+        # _finish_inflight: a header whose payload is empty must
+        # complete even when nothing else is left to read.
         ready = self.channel.recv_ready
         moved = False
         while True:
             msg = st.inflight
             if msg is None:
                 want = PKT_SIZE - st.hdr_off
-                try:
-                    n = yield from self.channel.get(
-                        st.conn, [st.hdr_buf.sub(st.hdr_off, want)])
-                except (QPError, ChannelBrokenError) as exc:
-                    raise MpiError(
-                        f"rank {self.rank}: connection to rank "
-                        f"{st.conn.peer_rank} failed: {exc}") from exc
+                iov = [st.hdr_buf.sub(st.hdr_off, want)]
+            else:
+                want = msg.env[3] - msg.received
+                if want:
+                    st.conn.get_ws_hint = msg.env[3]
+                iov = clamp_iov(advance_iov(msg.iov, msg.received), want)
+            if want:
+                n = yield from self._transport(
+                    st, self.channel.get(st.conn, iov))
                 if n == 0:
                     return moved
                 moved = True
-                st.hdr_off += n
-                if st.hdr_off == PKT_SIZE:
+                want -= n
+                if msg is None:
+                    st.hdr_off += n
+                else:
+                    msg.received += n
+            if not want:
+                if msg is not None:
+                    yield from self._finish_inflight(st)
+                else:
                     st.hdr_off = 0
                     yield from self.channel.ctx.cpu.work(
                         self.cfg.ch3_packet_overhead)
                     yield from self._dispatch_header(st,
                                                      st.hdr_buf.read())
-            else:
-                size = msg.env[3]
-                if msg.received < size:
-                    if hasattr(st.conn, "get_ws_hint"):
-                        st.conn.get_ws_hint = size
-                    remaining = clamp_iov(
-                        advance_iov(msg.iov, msg.received),
-                        size - msg.received)
-                    try:
-                        n = yield from self.channel.get(st.conn,
-                                                        remaining)
-                    except (QPError, ChannelBrokenError) as exc:
-                        raise MpiError(
-                            f"rank {self.rank}: connection to rank "
-                            f"{st.conn.peer_rank} failed: {exc}"
-                        ) from exc
-                    if n == 0:
-                        return moved
-                    moved = True
-                    msg.received += n
-                if msg.received >= size:
-                    yield from self._finish_inflight(st)
             msg = st.inflight
             get_next = msg is None or msg.received < msg.env[3]
             if get_next and not ready(st.conn):

@@ -168,6 +168,11 @@ class IovCursor:
 class Connection:
     """One end of a channel connection between two ranks."""
 
+    #: working-set hints for copy cost modelling (0 = unhinted): the
+    #: layer above sets them to the size of the message it moves
+    put_ws_hint = 0
+    get_ws_hint = 0
+
     def __init__(self, channel: "RdmaChannel", peer_rank: int):
         self.channel = channel
         self.peer_rank = peer_rank

@@ -93,10 +93,6 @@ class ChunkedConnection(Connection):
         #: after a zero-copy registration failure (ours or, via NAK,
         #: the receiver's) — prevents an RTS/fail livelock.
         self.zc_suppress = 0
-        #: working-set hints for copy cost modelling (0 = default);
-        #: set by the layer above, which knows the message size.
-        self.put_ws_hint = 0
-        self.get_ws_hint = 0
 
 
 class ChunkedChannel(RdmaChannel):
@@ -178,17 +174,18 @@ class ChunkedChannel(RdmaChannel):
     # put
     # ------------------------------------------------------------------
     def _control_sweep(self, conn: ChunkedConnection) -> Generator:
-        """Process CREDIT/ACK chunks at the stream head so a sender
-        that is only put()-ing still sees tail-pointer updates and
-        zero-copy acknowledgements.  Stops at DATA/RTS, which belong
-        to get()."""
+        """Process CREDIT/ACK/NAK chunks at the stream head, so a
+        sender that is only put()-ing still sees tail-pointer updates
+        and zero-copy acknowledgements.  Stops at the first other
+        chunk (DATA/RTS, which belong to get()) and returns its peeked
+        ``(kind, payload_len, credit, aux)``, or None once the ring is
+        empty."""
         while True:
             info = conn.receiver.peek()
-            if info is None:
-                return None
+            if info is None or info[0] not in (KIND_CREDIT, KIND_ACK,
+                                               KIND_NAK):
+                return info
             kind, _plen, credit, aux = info
-            if kind not in (KIND_CREDIT, KIND_ACK, KIND_NAK):
-                return None
             conn.sender.absorb(credit)
             yield from self.ctx.cpu.work(self.cfg.chunk_overhead_cpu)
             if kind == KIND_ACK:
@@ -425,23 +422,13 @@ class ChunkedChannel(RdmaChannel):
             cur.advance(zc.nbytes)
 
         while True:
-            info = conn.receiver.peek()
+            info = yield from self._control_sweep(conn)
             if info is None:
                 break
             kind, plen, credit, aux = info
             conn.sender.absorb(credit)
             yield from self.ctx.cpu.work(self.cfg.chunk_overhead_cpu)
-            if kind == KIND_CREDIT:
-                conn.receiver.consume_chunk()
-            elif kind == KIND_ACK:
-                if conn.zc_send is None or conn.zc_send.op_id != aux:
-                    raise ChannelError(f"stray zero-copy ACK {aux}")
-                conn.zc_send.acked = True
-                conn.receiver.consume_chunk()
-            elif kind == KIND_NAK:
-                yield from self._handle_zc_nak(conn, aux)
-                conn.receiver.consume_chunk()
-            elif kind == KIND_DATA:
+            if kind == KIND_DATA:
                 if cur.exhausted:
                     break
                 n = yield from self._drain_data_chunk(conn, cur, plen)
