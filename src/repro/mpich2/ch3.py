@@ -28,7 +28,6 @@ from ..sim.sync import Fifo
 from ..ib.types import QPError
 from .adi3 import (ANY_SOURCE, ANY_TAG, Adi3Device, MpiError, Request,
                    TruncateError)
-from ..tune import NULL_TUNER
 from .channels.base import (ChannelBrokenError, Connection, RdmaChannel,
                             advance_iov, clamp_iov, iov_total)
 
@@ -60,18 +59,16 @@ def unpack_header(data: bytes):
 
 class _SendOp:
     __slots__ = ("req", "iov", "offset", "total", "hdr_buf",
-                 "payload_size", "kind", "on_complete")
+                 "payload_size", "on_complete")
 
     def __init__(self, req: Optional[Request], iov: List[Buffer],
-                 hdr_buf: Buffer, payload_size: int,
-                 kind: int = PKT_EAGER, on_complete=None):
+                 hdr_buf: Buffer, payload_size: int, on_complete=None):
         self.req = req
         self.iov = iov
         self.offset = 0
         self.total = iov_total(iov)
         self.hdr_buf = hdr_buf
         self.payload_size = payload_size
-        self.kind = kind
         #: optional callback fired when the op drains into the channel
         self.on_complete = on_complete
 
@@ -148,14 +145,12 @@ class Ch3Device(Adi3Device):
         self.conn_state: Dict[int, _ConnState] = {}
         self.posted: List[_PostedRecv] = []
         self.unexpected: List[_Unexpected] = []
-        self.eager_sent = 0
-        self.messages_received = 0
         #: on-demand connection machinery (None = eager full mesh);
         #: set by the runner for lazy designs
         self.connector = None
         #: the channel's adaptive controller (NULL_TUNER on every
         #: static design: all feeds/queries are no-ops)
-        self.tuner = getattr(channel, "tuner", NULL_TUNER)
+        self.tuner = channel.tuner
         m = channel.obs.metrics.scope(f"rank{rank}.ch3")
         self._m_eager = m.counter("eager_decisions")
         self._m_rndv = m.counter("rndv_decisions")
@@ -205,7 +200,7 @@ class Ch3Device(Adi3Device):
         hdr.write(pack_header(kind, self.rank, tag, context, size, sreq))
         op = _SendOp(req, [hdr] + payload_iov, hdr,
                      size if kind == PKT_EAGER else 0,
-                     kind=kind, on_complete=on_complete)
+                     on_complete=on_complete)
         self.conn_state[dest].sendq.append(op)
         return op
 
@@ -331,8 +326,6 @@ class Ch3Device(Adi3Device):
                 f"{st.conn.peer_rank} failed: {exc}") from exc
 
     def _send_op_complete(self, st: _ConnState, op: _SendOp) -> None:
-        if op.kind == PKT_EAGER:
-            self.eager_sent += 1
         if op.req is not None:
             op.req.complete(count=op.payload_size)
         if op.on_complete is not None:
@@ -430,7 +423,6 @@ class Ch3Device(Adi3Device):
         msg = st.inflight
         st.inflight = None
         src, tag, context, size = msg.env
-        self.messages_received += 1
         if msg.on_done is not None:
             yield from msg.on_done(st, msg)
         elif msg.req is not None:

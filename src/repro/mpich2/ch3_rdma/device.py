@@ -84,8 +84,6 @@ class Ch3RdmaDevice(Ch3Device):
         self.rndv_inflight: Dict[Tuple[int, int], _RndvSend] = {}
         #: receiver side, keyed by (peer, sender request id)
         self.rndv_recvs: Dict[Tuple[int, int], _RndvRecv] = {}
-        self.rndv_started = 0
-        self.rndv_completed = 0
 
     def _use_rndv(self, live: List[Buffer], size: int, dest: int
                   ) -> bool:
@@ -114,7 +112,6 @@ class Ch3RdmaDevice(Ch3Device):
         self.rndv_sends[req.req_id] = state
         self._enqueue_packet(dest, PKT_RNDV_RTS, tag, context, size,
                              [], sreq=req.req_id)
-        self.rndv_started += 1
         self._m_rndv.inc()
         yield from self._progress_send(self.conn_state[dest])
         return req
@@ -222,7 +219,6 @@ class Ch3RdmaDevice(Ch3Device):
             yield from self.channel.regcache.release(state.mr)
             esrc, etag, _ectx, esize = state.env
             state.req.complete(esrc, etag, esize)
-            self.rndv_completed += 1
             return None
         if kind == PKT_RNDV_NAK:
             # sreq names the sender's request, and request ids are

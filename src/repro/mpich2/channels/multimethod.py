@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Generator, Sequence
 
 from ...hw.memory import Buffer
-from ...sim.engine import Event
+from ...sim.engine import Event, FirstOf
 from .base import Connection, RdmaChannel
 from .chunked import ZeroCopyChannel
 from .shm import ShmChannel
@@ -67,7 +67,7 @@ class MultiMethodChannel(RdmaChannel):
         events = [conn.gate.wait() for conn in self.shm.conns.values()]
         if self.net.conns:
             events.append(self.net.wakeup())
-        return self.node.cluster.sim.first_of(events)
+        return FirstOf(self.node.cluster.sim, events)
 
     def recv_ready(self, conn: Connection) -> bool:
         return conn.channel.recv_ready(conn)

@@ -14,7 +14,7 @@ import struct
 from typing import Generator, Sequence
 
 from ...hw.memory import Buffer
-from ...sim.engine import Event
+from ...sim.engine import Event, FirstOf
 from ...sim.sync import Gate
 from .base import (ChannelBrokenError, ChannelError, Connection,
                    IovCursor, RdmaChannel, iov_total)
@@ -74,8 +74,8 @@ class ShmChannel(RdmaChannel):
         b.conns[a.rank] = ShmConnection(b, a.rank, ring_ba, ring_ab, gate)
 
     def wakeup(self) -> Event:
-        return self.node.cluster.sim.first_of(
-            [conn.gate.wait() for conn in self.conns.values()])
+        return FirstOf(self.node.cluster.sim,
+                       [conn.gate.wait() for conn in self.conns.values()])
 
     def put(self, conn: ShmConnection, iov: Sequence[Buffer]
             ) -> Generator[None, None, int]:

@@ -15,7 +15,7 @@ from typing import Deque, Generator, Sequence, Tuple
 
 from ...hw.memory import Buffer
 from ...net.ipoib import TcpConnection, TcpStack
-from ...sim.engine import Event
+from ...sim.engine import Event, FirstOf
 from .base import (ChannelBrokenError, ChannelError, Connection,
                    IovCursor, RdmaChannel, iov_total)
 
@@ -71,7 +71,7 @@ class TcpChannel(RdmaChannel):
         for conn in self.conns.values():
             events += (conn.tcp.wait_rx(conn.in_dir),
                        conn.tcp.wait_credit(conn.out_dir))
-        return self.node.cluster.sim.first_of(events)
+        return FirstOf(self.node.cluster.sim, events)
 
     #: kernel-internal processing quantum: the stack hands the NIC
     #: bursts of this size, so successive bursts pipeline (softirq tx

@@ -13,7 +13,6 @@ from .engine import (
     AnyOf,
     DeadlockError,
     Event,
-    FirstOf,
     Interrupt,
     Process,
     SimulationError,
@@ -24,7 +23,7 @@ from .fluid import Flow, FluidNetwork, FluidResource
 from .sync import Gate, Resource, Store
 
 __all__ = [
-    "Simulator", "Event", "Timeout", "Process", "AnyOf", "FirstOf", "AllOf",
+    "Simulator", "Event", "Timeout", "Process", "AnyOf", "AllOf",
     "Interrupt", "SimulationError", "DeadlockError",
     "Store", "Resource", "Gate",
     "FluidResource", "FluidNetwork", "Flow",

@@ -531,9 +531,6 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def first_of(self, events: Iterable[Event]) -> FirstOf:
-        return FirstOf(self, events)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import (
-    AllOf, AnyOf, DeadlockError, Event, Interrupt, Process,
+    AllOf, AnyOf, DeadlockError, Event, FirstOf, Interrupt, Process,
     SimulationError, Simulator, Timeout,
 )
 
@@ -325,6 +325,33 @@ class TestConditions:
             return (first.value, sim.now)
 
         assert run(sim, parent()) == (1, 1.0)
+
+    def test_first_of_subscribes_only_when_waited_on(self):
+        sim = Simulator()
+        gate = sim.event()
+        dropped = FirstOf(sim, [gate])   # armed, never waited on
+        gate.succeed("x")
+        sim.run()
+        assert sim.events_processed == 0 and not dropped.triggered
+
+        late = sim.event()
+        late.succeed("y")
+
+        def parent():
+            first = yield FirstOf(sim, [sim.event(), late])
+            return first.value
+
+        assert run(sim, parent()) == "y"
+
+    def test_first_of_nothing_never_fires(self):
+        sim = Simulator()
+
+        def parent():
+            yield FirstOf(sim, [])
+
+        sim.spawn(parent())
+        with pytest.raises(DeadlockError):
+            sim.run()
 
     def test_all_of_empty_fires_immediately(self):
         sim = Simulator()
