@@ -185,24 +185,24 @@ class Ch3Device(Adi3Device):
         req = Request("send")
         size = iov_total(iov)
         self._m_eager.inc()
-        self._enqueue_packet(dest, PKT_EAGER, tag, context, size,
-                             [b for b in iov if len(b)], req=req)
-        yield from self._progress_send(self.conn_state[dest])
+        yield from self._send_packet(dest, PKT_EAGER, tag, context, size,
+                                     [b for b in iov if len(b)], req=req)
         return req
 
-    def _enqueue_packet(self, dest: int, kind: int, tag: int,
-                        context: int, size: int,
-                        payload_iov: List[Buffer],
-                        req: Optional[Request] = None, sreq: int = 0,
-                        on_complete=None) -> _SendOp:
-        """Queue a CH3 packet (header + payload) on a connection."""
+    def _send_packet(self, dest: int, kind: int, tag: int, context: int,
+                     size: int, payload_iov: List[Buffer],
+                     req: Optional[Request] = None, sreq: int = 0,
+                     on_complete=None) -> Generator:
+        """Queue a CH3 packet (header + payload) on a connection and
+        push as much of that connection's queue as the channel takes."""
         hdr = self.node.alloc(PKT_SIZE, "ch3.shdr")
         hdr.write(pack_header(kind, self.rank, tag, context, size, sreq))
-        op = _SendOp(req, [hdr] + payload_iov, hdr,
-                     size if kind == PKT_EAGER else 0,
-                     on_complete=on_complete)
-        self.conn_state[dest].sendq.append(op)
-        return op
+        st = self.conn_state[dest]
+        st.sendq.append(_SendOp(req, [hdr] + payload_iov, hdr,
+                                size if kind == PKT_EAGER else 0,
+                                on_complete=on_complete))
+        yield from self._progress_send(st)
+        return None
 
     def irecv(self, iov: Sequence[Buffer], source: int, tag: int,
               context: int) -> Generator[None, None, Request]:

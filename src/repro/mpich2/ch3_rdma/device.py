@@ -110,10 +110,9 @@ class Ch3RdmaDevice(Ch3Device):
         req = Request("send")
         state = _RndvSend(req, iov[0], size, dest)
         self.rndv_sends[req.req_id] = state
-        self._enqueue_packet(dest, PKT_RNDV_RTS, tag, context, size,
-                             [], sreq=req.req_id)
         self._m_rndv.inc()
-        yield from self._progress_send(self.conn_state[dest])
+        yield from self._send_packet(dest, PKT_RNDV_RTS, tag, context,
+                                     size, [], sreq=req.req_id)
         return req
 
     # ------------------------------------------------------------------
@@ -164,10 +163,9 @@ class Ch3RdmaDevice(Ch3Device):
         self.rndv_recvs[(peer, sreq)] = _RndvRecv(req, mr, env)
         cts = self.node.alloc(_CTS_SIZE, "ch3.cts")
         cts.write(struct.pack(_CTS_FMT, target.addr, mr.rkey))
-        op = self._enqueue_packet(peer, PKT_RNDV_CTS, tag, context,
-                                  _CTS_SIZE, [cts], sreq=sreq)
-        op.on_complete = lambda: self.node.mem.free(cts.addr)
-        yield from self._progress_send(self.conn_state[peer])
+        yield from self._send_packet(
+            peer, PKT_RNDV_CTS, tag, context, _CTS_SIZE, [cts], sreq=sreq,
+            on_complete=lambda: self.node.mem.free(cts.addr))
         return None
 
     def _refuse(self, peer: int, sreq: int, req: Request,
@@ -178,8 +176,8 @@ class Ch3RdmaDevice(Ch3Device):
         req.fail(MpiError(
             f"rank {self.rank}: rendezvous with rank {peer} could not "
             f"register its buffer: {exc}"))
-        self._enqueue_packet(peer, PKT_RNDV_NAK, 0, 0, 0, [], sreq=sreq)
-        yield from self._progress_send(self.conn_state[peer])
+        yield from self._send_packet(peer, PKT_RNDV_NAK, 0, 0, 0, [],
+                                     sreq=sreq)
         return None
 
     # ------------------------------------------------------------------
@@ -300,8 +298,7 @@ class Ch3RdmaDevice(Ch3Device):
         # completes only once the FIN is in the channel: a FIN still
         # queued behind a full ring needs the sender to keep
         # progressing, and an open request is what keeps it there.
-        self._enqueue_packet(
+        yield from self._send_packet(
             state.peer, PKT_RNDV_FIN, 0, 0, 0, [], sreq=state.req.req_id,
             on_complete=lambda: state.req.complete(count=state.size))
-        yield from self._progress_send(self.conn_state[state.peer])
         return True

@@ -253,11 +253,10 @@ class RdmaChannel(abc.ABC):
         call altogether — CH3's sweep does."""
 
     def wakeup(self) -> Event:
-        """One event that fires when put or get on some connection may
-        have become productive; the progress engine arms it before a
-        blocking sweep and sleeps on it (costs are still charged on
-        wake).  IB designs share the node's inbound gate, which every
-        placement, completion and lazy connect opens."""
+        """An event that fires when put or get on some connection may
+        have become productive.  CH3 arms it before a blocking sweep
+        and sleeps on it.  IB designs share the node's inbound gate,
+        which every placement, completion and lazy connect opens."""
         return self.node.hca.inbound_gate.wait()
 
     def wait_hints(self, conn: Connection) -> list:

@@ -340,10 +340,9 @@ class AnyOf(_Condition):
 
 
 class FirstOf(AnyOf):
-    """An :class:`AnyOf` that subscribes to its events only when the
-    first callback is added (a process yields it): armed ahead of time
-    and dropped unwaited, it schedules nothing.  With no events it
-    never fires."""
+    """An :class:`AnyOf` that subscribes to its events only once
+    waited on: armed and dropped, it schedules nothing.  With no events
+    it never fires."""
 
     __slots__ = ()
 
