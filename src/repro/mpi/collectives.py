@@ -304,24 +304,11 @@ def allreduce_obj(comm, value: Any, op: Op) -> Generator:
 # ---------------------------------------------------------------------
 
 def gather(comm, sendbuf, recvbuf, root: int = 0) -> Generator:
-    p, r = comm.size, comm.rank
+    """:func:`gatherv` with every rank's count equal to its own send
+    buffer's length."""
     sbuf, _ = _as_target(comm, sendbuf)
-    n = len(sbuf)
-    if r == root:
-        rbuf, arr = _as_target(comm, recvbuf)
-        if len(rbuf) < n * p:
-            raise MpiError(f"gather needs {n * p} bytes at root, "
-                           f"got {len(rbuf)}")
-        _local_copy(rbuf.sub(r * n, n), sbuf)
-        for src in range(p):
-            if src == root:
-                continue
-            yield from _recv(comm, rbuf.sub(src * n, n), src,
-                             _COLL_TAG + 6)
-        _writeback(rbuf, arr)
-    else:
-        req = yield from _isend(comm, sbuf, root, _COLL_TAG + 6)
-        yield from comm.device.wait(req)
+    yield from gatherv(comm, sbuf, recvbuf, [len(sbuf)] * comm.size,
+                       root=root)
     return None
 
 
@@ -340,25 +327,11 @@ def gather_obj(comm, obj: Any, root: int = 0) -> Generator:
 
 
 def scatter(comm, sendbuf, recvbuf, root: int = 0) -> Generator:
-    p, r = comm.size, comm.rank
+    """:func:`scatterv` with every rank's count equal to its own
+    receive buffer's length."""
     rbuf, arr = _as_target(comm, recvbuf)
-    n = len(rbuf)
-    if r == root:
-        sbuf, _ = _as_target(comm, sendbuf)
-        if len(sbuf) < n * p:
-            raise MpiError(f"scatter needs {n * p} bytes at root")
-        reqs = []
-        for dst in range(p):
-            if dst == root:
-                _local_copy(rbuf, sbuf.sub(dst * n, n))
-                continue
-            req = yield from _isend(comm, sbuf.sub(dst * n, n), dst,
-                                    _COLL_TAG + 8)
-            reqs.append(req)
-        for req in reqs:
-            yield from comm.device.wait(req)
-    else:
-        yield from _recv(comm, rbuf, root, _COLL_TAG + 8)
+    yield from scatterv(comm, sendbuf, rbuf, [len(rbuf)] * comm.size,
+                        root=root)
     _writeback(rbuf, arr)
     return None
 
@@ -398,19 +371,14 @@ def allgather_obj(comm, obj: Any) -> Generator:
 # ---------------------------------------------------------------------
 
 def alltoall(comm, sendbuf, recvbuf) -> Generator:
-    p, r = comm.size, comm.rank
+    """:func:`alltoallv` with one equal block per peer."""
     sbuf, _ = _as_target(comm, sendbuf)
     rbuf, arr = _as_target(comm, recvbuf)
+    p = comm.size
     if len(sbuf) % p or len(rbuf) % p:
         raise MpiError("alltoall buffers must divide evenly by size")
-    n = len(sbuf) // p
-    _local_copy(rbuf.sub(r * n, n), sbuf.sub(r * n, n))
-    for step in range(1, p):
-        dst = (r + step) % p
-        src = (r - step) % p
-        yield from _sendrecv(comm, sbuf.sub(dst * n, n), dst,
-                             rbuf.sub(src * n, n), src,
-                             _COLL_TAG + 10)
+    counts = [len(sbuf) // p] * p
+    yield from alltoallv(comm, sbuf, rbuf, counts, counts)
     _writeback(rbuf, arr)
     return None
 
