@@ -102,20 +102,17 @@ class _Unexpected:
 class _Inflight:
     """An incoming message currently being pulled from the stream."""
 
-    __slots__ = ("env", "iov", "received", "req", "u", "trash",
-                 "on_done")
+    __slots__ = ("env", "iov", "received", "req", "u", "on_done")
 
     def __init__(self, env, iov: List[Buffer],
                  req: Optional[Request] = None,
                  u: Optional[_Unexpected] = None,
-                 trash: Optional[Buffer] = None,
                  on_done=None):
         self.env = env
         self.iov = iov
         self.received = 0
         self.req = req
         self.u = u
-        self.trash = trash
         #: generator-function hook fired when the payload has fully
         #: arrived (used for control packets carrying payloads)
         self.on_done = on_done
@@ -214,17 +211,9 @@ class Ch3Device(Adi3Device):
             src, utag, uctx, usize = u.env
             if u.req is None and _match(source, tag, context,
                                         src, utag, uctx):
-                if usize > iov_total(iov):
-                    req.fail(TruncateError(
-                        f"message of {usize} bytes into a "
-                        f"{iov_total(iov)}-byte receive"))
-                    return req
                 if u.complete:
                     self.unexpected.pop(idx)
-                    yield from self._copy_out(u.buf, iov, usize)
-                    if u.buf is not None:
-                        self.node.mem.free(u.buf.addr)
-                    req.complete(src, utag, usize)
+                    yield from self._deliver(u, req, iov)
                 else:
                     u.req = req
                     u.iov = iov
@@ -239,6 +228,24 @@ class Ch3Device(Adi3Device):
             if u.req is None and u.complete and _match(
                     source, tag, context, src, utag, uctx):
                 return src, utag, usize
+        return None
+
+    def _deliver(self, u: _Unexpected, req: Request,
+                 iov: List[Buffer]) -> Generator:
+        """Hand a message that arrived into a temp buffer to the
+        receive that claimed it.  The one truncation rule: a receive
+        too small for its message consumes it, then fails."""
+        src, tag, _context, size = u.env
+        room = iov_total(iov)
+        if size <= room:
+            yield from self._copy_out(u.buf, iov, size)
+        if u.buf is not None:
+            self.node.mem.free(u.buf.addr)
+        if size > room:
+            req.fail(TruncateError(
+                f"message of {size} bytes into a {room}-byte receive"))
+        else:
+            req.complete(src, tag, size)
         return None
 
     def _copy_out(self, src_buf: Optional[Buffer], iov: List[Buffer],
@@ -395,21 +402,19 @@ class Ch3Device(Adi3Device):
         self.tuner.on_recv(src, size, rndv=False)
         env = (src, tag, context, size)
         pr = self._match_posted(src, tag, context)
-        if pr is not None:
-            if size > iov_total(pr.iov):
-                pr.req.fail(TruncateError(
-                    f"message of {size} bytes into a "
-                    f"{iov_total(pr.iov)}-byte receive"))
-                trash = self.node.alloc(max(size, 1), "ch3.trash")
-                st.inflight = _Inflight(env, [trash], trash=trash)
-                return
+        if pr is not None and size <= iov_total(pr.iov):
             st.inflight = _Inflight(env, pr.iov, req=pr.req)
             return
         buf = self.node.alloc(size, "ch3.unexpected") if size else None
         u = _Unexpected(env, buf)
         self.unexpected.append(u)
-        self._m_unexpected.inc()
-        self._m_unexpected_depth.set(len(self.unexpected))
+        if pr is not None:
+            # posted too small: claimed while arriving, like a receive
+            # posted late, and failed once the message is drained
+            u.req, u.iov = pr.req, pr.iov
+        else:
+            self._m_unexpected.inc()
+            self._m_unexpected_depth.set(len(self.unexpected))
         st.inflight = _Inflight(env, [buf] if buf else [], u=u)
 
     def _match_posted(self, src: int, tag: int,
@@ -433,12 +438,7 @@ class Ch3Device(Adi3Device):
             if u.req is not None:
                 # a receive claimed this message while it was arriving
                 self.unexpected.remove(u)
-                yield from self._copy_out(u.buf, u.iov, size)
-                if u.buf is not None:
-                    self.node.mem.free(u.buf.addr)
-                u.req.complete(src, tag, size)
-        elif msg.trash is not None:
-            self.node.mem.free(msg.trash.addr)
+                yield from self._deliver(u, u.req, u.iov)
         return None
 
     def finalize(self) -> Generator:

@@ -15,6 +15,8 @@ Fig. 12):
 
 A side that cannot register its buffer (step 2 or 3) fails its own
 request and sends the peer a NAK, which fails the peer's request too.
+A receive too small for the message answers its RTS with a NAK the
+same way, and fails with ``TruncateError``.
 
 Because the data leg is an RDMA write, this design inherits the raw
 write bandwidth curve of Fig. 15 — which is why it outperforms the
@@ -48,6 +50,8 @@ class _UnexpectedRts(_Unexpected):
 
     def __init__(self, env, sreq: int, peer: int):
         super().__init__(env, None)
+        #: the envelope is all an RTS carries: Probe can see it now
+        self.complete = True
         self.sreq = sreq
         self.peer = peer
 
@@ -145,9 +149,13 @@ class Ch3RdmaDevice(Ch3Device):
                     req: Request) -> Generator:
         src, tag, context, size = env
         if size > iov_total(iov):
+            # too small: the NAK consumes the message, and fails the
+            # sender's half as well
             req.fail(TruncateError(
                 f"rendezvous message of {size} bytes into a "
                 f"{iov_total(iov)}-byte receive"))
+            yield from self._send_packet(peer, PKT_RNDV_NAK, 0, 0, 0, [],
+                                         sreq=sreq)
             return None
         if len(iov) != 1:
             raise MpiError("rendezvous receives need one contiguous "
@@ -223,7 +231,8 @@ class Ch3RdmaDevice(Ch3Device):
             # unique across ranks: we hold one half, the receive (the
             # sender refused) or the send (the receiver refused)
             error = MpiError(f"rank {self.rank}: rank {src} could not "
-                             f"register its side of the rendezvous")
+                             f"register its side of the rendezvous, or "
+                             f"had no room for it")
             recv = self.rndv_recvs.pop((src, sreq), None)
             if recv is not None:
                 yield from self.channel.regcache.release(recv.mr)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.check.differ import run_spec
 from repro.check.mutations import CATALOG
-from repro.mpi.runner import build_world
+from repro.mpi.runner import DESIGNS, build_world, run_mpi
 from repro.obs.waitgraph import DeadlockDetector, find_cycle
 from repro.sim.engine import DeadlockError
 
@@ -46,6 +46,16 @@ class TestAppDeadlocks:
         assert "wait-for graph:" in text
         assert "posted receive" in text and "never matched" in text
         assert "deadlock cycle: rank 0 -> rank 1 -> rank 0" in text
+
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_lone_rank_blocked_in_probe(self, design):
+        """A rank with no connection has nothing to wake it: its sleep
+        never fires, so the run ends in a deadlock, not a spin."""
+        def prog(mpi):
+            yield from mpi.Probe(0, 7)
+
+        with pytest.raises(DeadlockError, match="rank0"):
+            run_mpi(1, prog, design=design)
 
     def test_unmatched_recv_without_cycle_still_explained(self):
         def sender(mpi):
