@@ -23,6 +23,10 @@ the CPU/copy time of whatever work they perform.
 The FIFO-pipe contract (Fig. 2): bytes come out of ``get`` in exactly
 the order ``put`` pushed them, regardless of the design underneath —
 this invariant is property-tested across all five implementations.
+
+Two more methods serve the simulated progress engine, not the paper's
+interface: ``recv_ready`` (whether ``get`` would do anything) and
+``wakeup`` (one event to sleep on until ``put`` or ``get`` may).
 """
 
 from __future__ import annotations

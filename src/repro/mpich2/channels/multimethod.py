@@ -62,8 +62,7 @@ class MultiMethodChannel(RdmaChannel):
         return result
 
     def wakeup(self) -> Event:
-        # one flat condition: each shared-memory pair's gate, plus one
-        # waiter on the inbound gate for every network connection
+        # each shared-memory pair's gate, one inbound waiter for all IB
         events = [conn.gate.wait() for conn in self.shm.conns.values()]
         if self.net.conns:
             events.append(self.net.wakeup())

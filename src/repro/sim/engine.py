@@ -349,7 +349,6 @@ class FirstOf(AnyOf):
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         Event.__init__(self, sim)
         self.events = list(events)
-        self._pending = 0
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         if self._callbacks == []:
