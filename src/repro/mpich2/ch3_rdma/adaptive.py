@@ -14,6 +14,8 @@ points:
 
 from __future__ import annotations
 
+from typing import Generator
+
 from ...ib.types import Opcode, WcStatus
 from ...tune.controller import CH3_RNDV_THRESHOLD
 from ..adi3 import MpiError

@@ -50,7 +50,7 @@ class _UnexpectedRts(_Unexpected):
 
     def __init__(self, env, sreq: int, peer: int):
         super().__init__(env, None)
-        #: the envelope is all an RTS carries: Probe can see it now
+        #: an RTS is all envelope: it has arrived, and Probe may match it
         self.complete = True
         self.sreq = sreq
         self.peer = peer
