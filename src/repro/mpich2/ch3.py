@@ -58,16 +58,16 @@ def unpack_header(data: bytes):
 
 
 class _SendOp:
-    __slots__ = ("req", "iov", "offset", "total", "hdr_buf",
-                 "payload_size", "on_complete")
+    __slots__ = ("req", "iov", "offset", "total", "payload_size",
+                 "on_complete")
 
     def __init__(self, req: Optional[Request], iov: List[Buffer],
-                 hdr_buf: Buffer, payload_size: int, on_complete=None):
+                 payload_size: int, on_complete=None):
         self.req = req
+        #: the packet header buffer first, then the payload
         self.iov = iov
         self.offset = 0
         self.total = iov_total(iov)
-        self.hdr_buf = hdr_buf
         self.payload_size = payload_size
         #: optional callback fired when the op drains into the channel
         self.on_complete = on_complete
@@ -195,7 +195,7 @@ class Ch3Device(Adi3Device):
         hdr = self.node.alloc(PKT_SIZE, "ch3.shdr")
         hdr.write(pack_header(kind, self.rank, tag, context, size, sreq))
         st = self.conn_state[dest]
-        st.sendq.append(_SendOp(req, [hdr] + payload_iov, hdr,
+        st.sendq.append(_SendOp(req, [hdr] + payload_iov,
                                 size if kind == PKT_EAGER else 0,
                                 on_complete=on_complete))
         yield from self._progress_send(st)
@@ -314,7 +314,7 @@ class Ch3Device(Adi3Device):
             op.offset += n
             if op.offset >= op.total:
                 st.sendq.popleft()
-                self.node.mem.free(op.hdr_buf.addr)
+                self.node.mem.free(op.iov[0].addr)
                 self._send_op_complete(st, op)
             else:
                 break

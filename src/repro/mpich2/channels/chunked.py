@@ -176,10 +176,8 @@ class ChunkedChannel(RdmaChannel):
     def _control_sweep(self, conn: ChunkedConnection) -> Generator:
         """Process CREDIT/ACK/NAK chunks at the stream head, so a
         sender that is only put()-ing still sees tail-pointer updates
-        and zero-copy acknowledgements.  Stops at the first other
-        chunk (DATA/RTS, which belong to get()) and returns its peeked
-        ``(kind, payload_len, credit, aux)``, or None once the ring is
-        empty."""
+        and zero-copy acknowledgements.  Returns the first other
+        chunk's ``peek()`` (DATA/RTS belong to get()), or None."""
         while True:
             info = conn.receiver.peek()
             if info is None or info[0] not in (KIND_CREDIT, KIND_ACK,
