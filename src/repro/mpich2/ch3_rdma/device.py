@@ -151,11 +151,9 @@ class Ch3RdmaDevice(Ch3Device):
         if size > iov_total(iov):
             # too small: the NAK consumes the message, and fails the
             # sender's half as well
-            req.fail(TruncateError(
+            yield from self._refuse(peer, sreq, req, TruncateError(
                 f"rendezvous message of {size} bytes into a "
                 f"{iov_total(iov)}-byte receive"))
-            yield from self._send_packet(peer, PKT_RNDV_NAK, 0, 0, 0, [],
-                                         sreq=sreq)
             return None
         if len(iov) != 1:
             raise MpiError("rendezvous receives need one contiguous "
@@ -166,7 +164,8 @@ class Ch3RdmaDevice(Ch3Device):
             mr = yield from self.channel.regcache.register(target.addr,
                                                            size)
         except RegistrationError as exc:
-            yield from self._refuse(peer, sreq, req, exc)
+            yield from self._refuse(peer, sreq, req,
+                                    self._unpinned(peer, exc))
             return None
         self.rndv_recvs[(peer, sreq)] = _RndvRecv(req, mr, env)
         cts = self.node.alloc(_CTS_SIZE, "ch3.cts")
@@ -176,16 +175,22 @@ class Ch3RdmaDevice(Ch3Device):
             on_complete=lambda: self.node.mem.free(cts.addr))
         return None
 
+    def _unpinned(self, peer: int, exc: RegistrationError) -> MpiError:
+        """Our side of a rendezvous with ``peer`` could not be pinned,
+        and this layer has no ring to fall back on."""
+        return MpiError(f"rank {self.rank}: rendezvous with rank {peer} "
+                        f"could not register its buffer: {exc}")
+
     def _refuse(self, peer: int, sreq: int, req: Request,
-                exc: RegistrationError) -> Generator:
-        """Our side of rendezvous ``sreq`` could not be pinned, and
-        this layer has no ring to fall back on: fail our request and
-        NAK the peer, whose half of the rendezvous fails with it."""
-        req.fail(MpiError(
-            f"rank {self.rank}: rendezvous with rank {peer} could not "
-            f"register its buffer: {exc}"))
+                error: MpiError) -> Generator:
+        """NAK rendezvous ``sreq``: the peer's half fails when the NAK
+        arrives, and ``req`` fails with ``error`` once the NAK is in
+        the channel.  Until then ``req`` stays open, so a rank that
+        stops after its failure still keeps progressing while the NAK
+        waits behind a full ring."""
         yield from self._send_packet(peer, PKT_RNDV_NAK, 0, 0, 0, [],
-                                     sreq=sreq)
+                                     sreq=sreq,
+                                     on_complete=lambda: req.fail(error))
         return None
 
     # ------------------------------------------------------------------
@@ -257,7 +262,8 @@ class Ch3RdmaDevice(Ch3Device):
                 state.buf.addr, state.size)
         except RegistrationError as exc:
             del self.rndv_sends[sreq]
-            yield from self._refuse(state.peer, sreq, state.req, exc)
+            yield from self._refuse(state.peer, sreq, state.req,
+                                    self._unpinned(state.peer, exc))
             return None
         conn = self.conn_state[state.peer].conn
         wr = yield from self.channel.ctx.rdma_write(

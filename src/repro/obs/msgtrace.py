@@ -138,7 +138,9 @@ class MessageTracer:
                          size: int) -> Any:
             result = orig_begin_eager(st, src, tag, context, size)
             msg = st.inflight
-            if msg is not None and msg.u is not None:
+            # a too-small posted receive claims its message through an
+            # unexpected record, but the receive came first
+            if msg is not None and msg.u is not None and msg.u.req is None:
                 key = (src, dev.rank, tag, context)
                 fifo = tracer._open.get(key)
                 if fifo:

@@ -315,6 +315,10 @@ class _Condition(Event):
         for ev in self.events:
             if not isinstance(ev, Event):
                 raise TypeError(f"expected Event, got {ev!r}")
+        self._arm()
+
+    def _arm(self) -> None:
+        """Subscribe to the events; with none, fire at once."""
         for ev in self.events:
             self._pending += 1
             ev.add_callback(self._check)
@@ -346,9 +350,8 @@ class FirstOf(AnyOf):
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        Event.__init__(self, sim)
-        self.events = list(events)
+    def _arm(self) -> None:
+        """Subscribe later, on the first waiter (``add_callback``)."""
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         if self._callbacks == []:

@@ -353,6 +353,10 @@ class TestConditions:
         with pytest.raises(DeadlockError):
             sim.run()
 
+    def test_first_of_checks_its_events(self):
+        with pytest.raises(TypeError):
+            FirstOf(Simulator(), [object()])
+
     def test_all_of_empty_fires_immediately(self):
         sim = Simulator()
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.mpi import run_mpi
 from repro.mpi.runner import build_world
+from repro.mpich2.adi3 import TruncateError
 from repro.obs import NULL_OBS, Observability
 from repro.obs.msgtrace import MessageRecord, MessageTracer
 
@@ -69,6 +70,25 @@ class TestTracer:
         tracer, _ = _run_traced(prog)
         recs = [m for m in tracer.messages if m.tag == 4]
         assert not recs[0].unexpected
+
+    def test_truncated_posted_receive_not_flagged(self):
+        """A posted receive too small for its message still came
+        first, though CH3 drains the message into a temp buffer."""
+        def prog(mpi):
+            if mpi.rank == 0:
+                yield from mpi.compute(100e-6)
+                yield from mpi.Send(mpi.alloc(4096), dest=1, tag=4)
+            else:
+                req = yield from mpi.Irecv(mpi.alloc(1024), 0, 4)
+                try:
+                    yield from mpi.Wait(req)
+                except TruncateError:
+                    return "truncated"
+
+        tracer, results = _run_traced(prog)
+        assert results[1] == "truncated"
+        recs = [m for m in tracer.delivered() if m.tag == 4]
+        assert len(recs) == 1 and not recs[0].unexpected
 
     def test_summary_and_fraction(self):
         def prog(mpi):
