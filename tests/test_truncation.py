@@ -81,42 +81,25 @@ def test_unexpected_message_too_large(design, size):
 
 
 @pytest.mark.parametrize("design", list(DESIGNS))
-def test_truncated_receiver_that_stops_releases_the_sender(design):
+@pytest.mark.parametrize("fill", [0, 48])
+def test_truncated_receiver_that_stops_releases_the_sender(design, fill):
     """The receiver fails its receive and does nothing more: the
-    sender's Wait must still end."""
+    sender's Wait must still end.  With ``fill`` 4 KB eager sends
+    queued first, the receiver's ring to the sender is full when the
+    receive fails, so its refusal waits behind them: the failed Wait
+    must not return before the refusal has left."""
     def prog(mpi):
         if mpi.rank == 0:
             req = yield from mpi.Isend(mpi.alloc(40 * KB), 1, 1)
+            if fill:
+                # stay out of progress while rank 1 fills its ring to us
+                yield from mpi.compute(1e-3)
             try:
                 yield from mpi.Wait(req)
             except MpiError:
                 return "MpiError"
             return "sent"
-        req = yield from mpi.Irecv(mpi.alloc(KB), 0, 1)
-        return (yield from _truncated(mpi, req))
-
-    (sent, truncated), _ = run_mpi(2, prog, design=design)
-    assert truncated
-    assert sent in ("sent", "MpiError")
-
-
-@pytest.mark.parametrize("design", list(DESIGNS))
-def test_truncated_receiver_with_a_full_ring_releases_the_sender(design):
-    """The receiver's ring to the sender is full when the receive
-    fails, so its refusal has to queue behind its own eager sends.  The
-    receiver then does nothing more: its failed Wait must not return
-    before the refusal has left, or the sender's Wait never ends."""
-    def prog(mpi):
-        if mpi.rank == 0:
-            req = yield from mpi.Isend(mpi.alloc(40 * KB), 1, 1)
-            # stay out of progress while rank 1 fills its ring to us
-            yield from mpi.compute(1e-3)
-            try:
-                yield from mpi.Wait(req)
-            except MpiError:
-                return "MpiError"
-            return "sent"
-        for _ in range(48):
+        for _ in range(fill):
             yield from mpi.Isend(mpi.alloc(4 * KB), 0, 2)
         req = yield from mpi.Irecv(mpi.alloc(KB), 0, 1)
         return (yield from _truncated(mpi, req))
@@ -124,3 +107,4 @@ def test_truncated_receiver_with_a_full_ring_releases_the_sender(design):
     (sent, truncated), _ = run_mpi(2, prog, design=design)
     assert truncated
     assert sent in ("sent", "MpiError")
+
