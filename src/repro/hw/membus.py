@@ -10,11 +10,11 @@ link, bottlenecks the copy-based pipelined design.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional
 
 from ..config import US, HardwareConfig
 from ..sim.engine import Simulator
-from ..sim.fluid import FluidNetwork, FluidResource
+from ..sim.fluid import FluidNetwork, FluidResource, Route
 from .memory import NodeMemory
 
 __all__ = ["MemBus"]
@@ -35,6 +35,8 @@ class MemBus:
         self.bus = FluidResource(f"membus[{node_id}]", cfg.membus_bandwidth)
         #: payload bytes copied by the CPU on this node (stats)
         self.bytes_copied = 0
+        #: memcpy routes by bus cost per byte, built on first use
+        self._routes: Dict[float, Route] = {}
 
     def memcpy(self, mem: NodeMemory, dst: int, src: int, nbytes: int,
                working_set: Optional[int] = None) -> Generator:
@@ -53,7 +55,10 @@ class MemBus:
         if nbytes:
             ws = working_set if working_set is not None else 2 * nbytes
             cost = self.cfg.memcpy_cost_per_byte(ws)
-            yield self.net.transfer(nbytes, [(self.bus, cost)],
+            route = self._routes.get(cost)
+            if route is None:
+                route = self._routes[cost] = Route([(self.bus, cost)])
+            yield self.net.transfer(nbytes, route,
                                     label=f"memcpy[{self.node_id}]")
             mem.copy_within(dst, src, nbytes)
             self.bytes_copied += nbytes

@@ -77,7 +77,7 @@ from ..hw.membus import MemBus
 from ..hw.memory import NodeMemory, Zeros
 from ..obs import NULL_OBS
 from ..sim.engine import Event, Simulator
-from ..sim.fluid import FluidNetwork, FluidResource
+from ..sim.fluid import FluidNetwork, FluidResource, Route
 from ..sim.sync import Fifo, Gate, Resource, Store
 from .cq import CompletionQueue
 from .fabric import Fabric
@@ -846,6 +846,8 @@ class Hca:
         self.shadow = None
         self.pd = ProtectionDomain(mem, node_id)
         self.pci = FluidResource(f"pci[{node_id}]", cfg.pci_dma_bandwidth)
+        #: DMA routes by remote node id (see dma_route_to)
+        self._routes: Dict[int, Route] = {}
         #: serializes RDMA-read responses (InfiniHost read engine)
         self.read_engine = Resource(sim, capacity=1)
         #: pulsed on any inbound placement so pollers can re-check flags
@@ -877,13 +879,15 @@ class Hca:
             # lint: allow(falsy-or-default, empty name = auto-name)
             self, max_wr, name or f"srq[{self.node_id}]")
 
-    def dma_route_to(self, remote: "Hca") -> List[Tuple[FluidResource, float]]:
+    def dma_route_to(self, remote: "Hca") -> Route:
         """Fluid route for payload DMA from this node's memory to
-        ``remote``'s: local bus + PCI, the wire, remote PCI + bus."""
-        cost = self.cfg.dma_bus_cost
-        route: List[Tuple[FluidResource, float]] = [
-            (self.membus.bus, cost), (self.pci, 1.0),
-        ]
-        route += self.fabric.path(self.node_id, remote.node_id)
-        route += [(remote.pci, 1.0), (remote.membus.bus, cost)]
+        ``remote``'s: local bus + PCI, the wire, remote PCI + bus.
+        Built on the first DMA to that node, then reused."""
+        route = self._routes.get(remote.node_id)
+        if route is None:
+            cost = self.cfg.dma_bus_cost
+            route = self._routes[remote.node_id] = Route(
+                [(self.membus.bus, cost), (self.pci, 1.0),
+                 *self.fabric.path(self.node_id, remote.node_id),
+                 (remote.pci, 1.0), (remote.membus.bus, cost)])
         return route

@@ -61,13 +61,18 @@ differ from it by float rounding only (docs/SIMULATOR.md).
 
 Allocators
 ----------
-Two implementations of the same progressive-filling arithmetic, picked
-per component from its size
+A flow's route is a :class:`Route`, validated and digested once
+(summed costs per resource, in first-appearance order) and shared by
+every flow that takes it: the HCA keeps one per remote node, the
+memory bus one per copy cost.  Two implementations of the same
+progressive-filling arithmetic, picked per component from its size
 (``_SCALAR_MAX_FLOWS``; measured table in docs/SIMULATOR.md):
 
 * small sets take the *scalar fold* — the historical per-dict loop,
   whose cost tracks the handful of resources in play and which pays
-  no numpy call overhead;
+  no numpy call overhead.  A lone flow, most re-solves, is the fold's
+  first step in closed form: the first-within-``_EPS`` minimum of
+  ``capacity / summed_cost`` over its route, the same floats;
 * larger sets take the *vector solver*: one division and one argmin
   across all resources per filling level, plus a *zero-cascade* that
   retires every already-saturated resource in a single pass instead
@@ -101,13 +106,13 @@ from __future__ import annotations
 import itertools
 import math
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .engine import Event, Simulator
 
-__all__ = ["FluidResource", "Flow", "FluidNetwork"]
+__all__ = ["FluidResource", "Route", "Flow", "FluidNetwork"]
 
 _EPS = 1e-15
 
@@ -133,7 +138,7 @@ class FluidResource:
     """
 
     __slots__ = ("uid", "name", "capacity", "flows", "busy_time",
-                 "_busy_since", "bytes_served", "_stamp")
+                 "_busy_since", "_stamp")
 
     def __init__(self, name: str, capacity: float):
         if not 0 < capacity < math.inf:
@@ -145,64 +150,71 @@ class FluidResource:
         # utilization accounting (for stats / debugging)
         self.busy_time = 0.0
         self._busy_since: Optional[float] = None
-        self.bytes_served = 0.0
         self._stamp = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FluidResource {self.name} cap={self.capacity:.3g}>"
 
 
+class Route:
+    """A validated route, digested once for every flow that takes it.
+
+    ``entries`` is the ``(resource, cost_per_byte)`` sequence as given.
+    A flow may cross one resource twice (a local copy through one bus),
+    so the rest sums the costs per resource, in first-appearance order
+    (the order the allocators' weight dicts are built in): ``pairs``
+    as ``(resource, summed_cost)``, ``scan`` as ``(uid, summed_cost,
+    resource)`` triples that unpack without attribute lookups in the
+    solvers' loops, and ``costs`` as ``{uid: summed_cost}``.
+    ``int_costs`` says every cost is an integer, which makes regrouped
+    float sums exact (the vector solver's batched accumulation).
+    """
+
+    __slots__ = ("entries", "pairs", "scan", "costs", "int_costs")
+
+    def __init__(self, entries: Sequence[Tuple[FluidResource, float]]):
+        self.entries = tuple(entries)
+        if not self.entries:
+            raise ValueError("route must contain at least one resource")
+        costs: Dict[int, float] = {}
+        res_of: Dict[int, FluidResource] = {}
+        int_costs = True
+        for res, cost in self.entries:
+            if not 0 < cost < math.inf:
+                raise ValueError(f"cost_per_byte must be finite, > 0: {cost}")
+            c = float(cost)
+            if not c.is_integer():
+                int_costs = False
+            uid = res.uid
+            if uid in costs:
+                costs[uid] += c
+            else:
+                costs[uid] = c
+                res_of[uid] = res
+        self.costs = costs
+        self.pairs = [(res_of[uid], c) for uid, c in costs.items()]
+        self.scan = [(uid, c, res_of[uid]) for uid, c in costs.items()]
+        self.int_costs = int_costs
+
+
 class Flow:
-    """One in-flight transfer."""
+    """One in-flight transfer along a :class:`Route`."""
 
     __slots__ = ("uid", "nbytes", "remaining", "route", "rate", "done",
-                 "label", "started_at", "finished_at", "_pairs",
-                 "_int_costs", "_scan", "_idx", "_stamp")
+                 "label", "started_at", "finished_at", "_idx", "_stamp")
 
-    def __init__(self, nbytes: float,
-                 route: Sequence[Tuple[FluidResource, float]],
-                 label: str = ""):
+    def __init__(self, nbytes: float, route: Route, label: str = ""):
         self.uid = next(_flow_uids)
         if not 0 <= nbytes < math.inf:
             raise ValueError(f"nbytes must be finite and >= 0: {nbytes}")
-        if not route:
-            raise ValueError("route must contain at least one resource")
-        for _res, cost in route:
-            if not 0 < cost < math.inf:
-                raise ValueError(f"cost_per_byte must be finite, > 0: {cost}")
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
-        self.route = list(route)
+        self.route = route
         self.rate = 0.0  # payload bytes / second, set by the network
         self.done: Optional[Event] = None
         self.label = label
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        # Routes are immutable, so the per-resource summed costs (a
-        # flow may cross the same bus twice) are computed once instead
-        # of on every reallocation.  Order: first appearance in the
-        # route, matching the historical per-reallocation dict build.
-        pairs: List[Tuple[FluidResource, float]] = []
-        index: Dict[int, int] = {}
-        int_costs = True
-        for res, cost in route:
-            c = float(cost)
-            if not c.is_integer():
-                int_costs = False
-            i = index.get(res.uid)
-            if i is None:
-                index[res.uid] = len(pairs)
-                pairs.append((res, c))
-            else:
-                pairs[i] = (res, pairs[i][1] + c)
-        self._pairs = pairs
-        #: all-integer cost weights make regrouped float sums exact,
-        #: enabling the vector solver's batched accumulation.
-        self._int_costs = int_costs
-        #: scan-friendly mirror of _pairs — (uid, summed_cost, res)
-        #: triples unpack without per-pair attribute lookups in the
-        #: reallocation hot loop.
-        self._scan = [(r.uid, c, r) for r, c in pairs]
         #: position in the flow list the vector solver is allocating,
         #: stamped at the start of each allocation.
         self._idx = 0
@@ -240,11 +252,15 @@ class FluidNetwork:
 
     # -- public API ------------------------------------------------------
     def transfer(self, nbytes: float,
-                 route: Sequence[Tuple[FluidResource, float]],
+                 route: Union[Route, Sequence[Tuple[FluidResource, float]]],
                  label: str = "") -> Event:
-        """Start a transfer; the returned event fires when the last
-        payload byte has moved.  Zero-byte transfers complete at once.
+        """Start a transfer along ``route`` — a :class:`Route`, or a
+        sequence of ``(resource, cost_per_byte)`` pairs that is wrapped
+        in one; the returned event fires when the last payload byte has
+        moved.  Zero-byte transfers complete at once.
         """
+        if not isinstance(route, Route):
+            route = Route(route)
         flow = Flow(nbytes, route, label)
         self.transfers += 1
         flow.done = self.sim.event()
@@ -256,7 +272,7 @@ class FluidNetwork:
         self._advance()
         self._active.append(flow)
         self._changed.append(flow)
-        for res, _cost in flow.route:
+        for res, _cost in route.entries:
             res.flows.append(flow)
             if res._busy_since is None:
                 res._busy_since = self.sim.now
@@ -281,10 +297,7 @@ class FluidNetwork:
         finished: List[Flow] = []
         residue = False
         for flow in self._active:
-            moved = flow.rate * dt
-            flow.remaining -= moved
-            for res, cost in flow.route:
-                res.bytes_served += moved * cost
+            flow.remaining -= flow.rate * dt
             # Absolute tolerance of a micro-byte: payloads are whole
             # bytes, and float residue must not strand a flow in a
             # zero-dt reschedule loop.
@@ -302,7 +315,7 @@ class FluidNetwork:
     def _detach(self, flow: Flow) -> None:
         self._active.remove(flow)
         self._changed.append(flow)
-        for res, _cost in flow.route:
+        for res, _cost in flow.route.entries:
             res.flows.remove(flow)
             if not res.flows and res._busy_since is not None:
                 res.busy_time += self.sim.now - res._busy_since
@@ -381,7 +394,7 @@ class FluidNetwork:
         gen = next(_generations)
         n = len(self._active)
         comps: List[List[Flow]] = []
-        for seed in [res for f in changed for res, _cost in f._pairs]:
+        for seed in [res for f in changed for res, _cost in f.route.pairs]:
             if seed._stamp == gen:
                 continue
             seed._stamp = gen
@@ -393,7 +406,7 @@ class FluidNetwork:
             for flow in comp:  # grows while it is walked
                 if len(comp) == n:
                     return [self._active]
-                for res, _cost in flow._pairs:
+                for res, _cost in flow.route.pairs:
                     if res._stamp != gen:
                         res._stamp = gen
                         for other in res.flows:
@@ -418,7 +431,7 @@ class FluidNetwork:
         # both lists in step), the legacy order.  Integer costs make
         # every weight sum exact, so weights add up per summed pair;
         # non-integer costs add up per route entry, the legacy rounding.
-        all_int = all(f._int_costs for f in active)
+        all_int = all(f.route.int_costs for f in active)
         col_of: Dict[int, int] = {}
         cap: List[float] = []
         #: unfixed cost weight per column; a dead column (weight at
@@ -430,7 +443,7 @@ class FluidNetwork:
         for fi, flow in enumerate(active):
             flow.rate = 0.0
             flow._idx = fi
-            for uid, cost, res in flow._scan:
+            for uid, cost, res in flow.route.scan:
                 j = get_col(uid)
                 if j is None:
                     j = col_of[uid] = len(cap)
@@ -440,7 +453,7 @@ class FluidNetwork:
                 if all_int:
                     wl[j] += cost
             if not all_int:
-                for res, cost in flow.route:
+                for res, cost in flow.route.entries:
                     wl[col_of[res.uid]] += cost
         inf = float("inf")
         residual = np.array(cap)
@@ -503,7 +516,7 @@ class FluidNetwork:
                     flow.rate = level
                     unfixed[fi] = False
                     n_unfixed -= 1
-                    for uid, c, _res in flow._scan:
+                    for uid, c, _res in flow.route.scan:
                         k = col_of[uid]
                         x = wl[k] - c
                         if x > _EPS:
@@ -517,22 +530,35 @@ class FluidNetwork:
         """The dict-based progressive-filling loop over ``active``: the
         allocator for small components, and the arithmetic
         :meth:`_alloc_vector` is pinned against."""
-        # residual capacity and unfixed cost-weight per resource
+        if len(active) == 1:
+            # One flow: the fold below reduces to its first step, the
+            # first-within-_EPS minimum of capacity / weight, where the
+            # weight ``(0.0 + c1) + c2`` is the route's summed cost and
+            # the frozen level is ``0.0 + best``.
+            flow = active[0]
+            best = float("inf")
+            found = False
+            for _uid, w, res in flow.route.scan:
+                if w <= _EPS:
+                    continue
+                delta = res.capacity / w
+                if delta < best - _EPS or (delta < best + _EPS
+                                           and not found):
+                    best = delta
+                    found = True
+            flow.rate = 0.0 + best  # inf if no resource bounds it
+            return
+        # residual capacity and unfixed cost-weight per resource,
+        # accumulated per route entry in route order (non-integer
+        # costs round as they always have)
         residual: Dict[int, float] = {}
         weight: Dict[int, float] = {}
-        flow_cost: Dict[int, Dict[int, float]] = {}
         for flow in active:
             flow.rate = 0.0
-            costs: Dict[int, float] = {}
-            for res, cost in flow.route:
+            for res, cost in flow.route.entries:
                 rid = res.uid
                 residual.setdefault(rid, res.capacity)
                 weight[rid] = weight.get(rid, 0.0) + cost
-                # a flow may cross the same resource twice (e.g. a local
-                # copy through one bus counted once with summed cost) —
-                # accumulate.
-                costs[rid] = costs.get(rid, 0.0) + cost
-            flow_cost[flow.uid] = costs
 
         unfixed = list(active)
         level = 0.0
@@ -557,19 +583,17 @@ class FluidNetwork:
                 break
             level += best_delta
             # Freeze every unfixed flow crossing the bottleneck.
-            frozen = [f for f in unfixed
-                      if best_rid in flow_cost[f.uid]]
-            still = [f for f in unfixed
-                     if best_rid not in flow_cost[f.uid]]
+            frozen = [f for f in unfixed if best_rid in f.route.costs]
+            still = [f for f in unfixed if best_rid not in f.route.costs]
             for flow in frozen:
                 flow.rate = level
             # Update residuals/weights for the remaining flows.
-            for rid in list(weight.keys()):
-                residual[rid] -= weight[rid] * best_delta
+            for rid, w in weight.items():
+                residual[rid] -= w * best_delta
                 if residual[rid] < 0:
                     residual[rid] = 0.0
             for flow in frozen:
-                for rid, cost in flow_cost[flow.uid].items():
+                for rid, cost in flow.route.costs.items():
                     weight[rid] -= cost
             weight[best_rid] = 0.0
             unfixed = still

@@ -255,6 +255,64 @@ def test_shared_bottleneck_exact_split():
 
 
 # ---------------------------------------------------------------------
+# One flow: the scalar fold's closed form
+# ---------------------------------------------------------------------
+
+def _alone(caps, spec):
+    """Rate and completion time of one 1 MB flow over fresh resources
+    of capacities ``caps``, along ``spec`` (index, cost) pairs."""
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    res = [FluidResource(f"r{i}", c) for i, c in enumerate(caps)]
+    done = net.transfer(1e6, [(res[i], cost) for i, cost in spec])
+    rate = net.active_flows[0].rate
+    sim.run()
+    return rate, done.value.finished_at
+
+
+@pytest.mark.parametrize("caps,spec,rate", [
+    ([1e9], [(0, 1.5), (0, 2.25)], 1e9 / 3.75),
+    ([1e9, 2e9], [(0, 1.0), (1, 2.0)], 1e9),
+], ids=["same-resource-twice", "exact-tie"])
+def test_lone_flow_closed_form(caps, spec, rate):
+    with pinned("vector"):
+        vector = _alone(caps, spec)
+    with pinned("scalar"):
+        scalar = _alone(caps, spec)
+    assert vector == scalar
+    assert scalar[0] == rate
+
+
+def test_lone_memcpy_route():
+    """MemBus's cached one-resource routes, cached and uncached copy
+    cost, each taken twice: same clock under both allocators."""
+    from repro.hw.membus import MemBus
+    from repro.hw.memory import NodeMemory
+
+    def run():
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        bus, mem = MemBus(sim, net, HW, 0), NodeMemory()
+        src, dst = mem.alloc(1 << 16), mem.alloc(1 << 16)
+        stamps = []
+
+        def copies():
+            for ws in (None, None, 1 << 30, 1 << 30):
+                yield from bus.memcpy(mem, dst, src, 1 << 16, ws)
+                stamps.append(sim.now)
+
+        sim.spawn(copies())
+        sim.run()
+        assert len(bus._routes) == 2
+        return stamps
+
+    with pinned("vector"):
+        vector = run()
+    with pinned("scalar"):
+        assert run() == vector
+
+
+# ---------------------------------------------------------------------
 # Separability: components are solved alone
 # ---------------------------------------------------------------------
 
@@ -289,7 +347,7 @@ def _ncomponents(flows):
             f = stack.pop()
             if f.uid not in seen:
                 seen.add(f.uid)
-                stack.extend(g for res, _c in f.route for g in res.flows)
+                stack.extend(g for res, _c in f.route.entries for g in res.flows)
     return n
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.fluid import FluidNetwork, FluidResource
+from repro.sim.fluid import FluidNetwork, FluidResource, Route
 
 
 def make():
@@ -219,18 +219,48 @@ class TestSharing:
         assert p.value == pytest.approx(2.0)
 
 
-class TestStats:
-    def test_bytes_served_accounting(self):
-        sim, net = make()
+class TestRoute:
+    def test_digest(self):
+        """Costs sum per resource, in first-appearance order."""
+        a, b = FluidResource("a", 100.0), FluidResource("b", 50.0)
+        route = Route([(a, 1.5), (b, 1), (a, 2.25)])
+        assert route.entries == ((a, 1.5), (b, 1), (a, 2.25))
+        assert route.pairs == [(a, 3.75), (b, 1.0)]
+        assert route.scan == [(a.uid, 3.75, a), (b.uid, 1.0, b)]
+        assert route.costs == {a.uid: 3.75, b.uid: 1.0}
+        assert not route.int_costs
+        assert Route([(a, 2), (b, 1.0)]).int_costs
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_cost_raises_at_construction(self, bad):
         res = FluidResource("r", 100.0)
+        with pytest.raises(ValueError, match="cost_per_byte"):
+            Route([(res, 1.0), (res, bad)])
 
-        def prog():
-            yield net.transfer(1000, [(res, 2.0)])
+    def test_empty_route_raises_at_construction(self):
+        with pytest.raises(ValueError, match="at least one resource"):
+            Route([])
 
-        sim.spawn(prog())
-        sim.run()
-        assert res.bytes_served == pytest.approx(2000.0)
+    def test_flows_sharing_one_route_match_equal_lists(self):
+        def run(shared):
+            sim, net = make()
+            bus = FluidResource("bus", 1e9)
+            link = FluidResource("link", 3e8)
+            entries = [(bus, 2.0), (link, 1.0), (bus, 1.0)]
+            route = Route(entries)
+            done, rates = [], []
+            for nbytes in (1e5, 3e5):
+                net.transfer(nbytes, route if shared else list(entries)
+                             ).add_callback(lambda _e: done.append(sim.now))
+                rates.append([f.rate for f in net.active_flows])
+            sim.run()
+            assert len(done) == 2
+            return done, rates
 
+        assert run(shared=True) == run(shared=False)
+
+
+class TestStats:
     def test_busy_time(self):
         sim, net = make()
         res = FluidResource("r", 100.0)
