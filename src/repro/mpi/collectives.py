@@ -87,8 +87,10 @@ def _local_copy(dst: Buffer, src: Buffer) -> None:
 
 def _as_target(comm, data) -> Tuple[Buffer, Optional[np.ndarray]]:
     """Stage ``data`` for in-place collective use; returns the staged
-    buffer and, if the caller passed an ndarray, the array to copy the
-    result back into."""
+    buffer and, if the caller passed an ndarray, the array.  A buffer
+    staged from an array is the collective's own: a receive buffer is
+    copied back and freed by :func:`_writeback`, a send buffer freed
+    by :func:`_release` once its last send has completed."""
     if isinstance(data, Buffer):
         return data, None
     if isinstance(data, np.ndarray):
@@ -100,6 +102,13 @@ def _writeback(buf: Buffer, arr: Optional[np.ndarray]) -> None:
     if arr is not None:
         flat = arr.reshape(-1).view(np.uint8)
         flat[:] = buf.view()[:flat.size]
+        _release(buf, arr)
+
+
+def _release(buf: Buffer, arr: Optional[np.ndarray]) -> None:
+    """Free ``buf`` if :func:`_as_target` staged it from ``arr``."""
+    if arr is not None:
+        buf.mem.free(buf.addr)
 
 
 def _tmp(comm, nbytes: int) -> Buffer:
@@ -199,11 +208,12 @@ def reduce(comm, sendbuf, recvbuf, op: Op, root: int = 0,
            dtype=np.float64) -> Generator:
     p, r = comm.size, comm.rank
     dt = np.dtype(dtype)
-    sbuf, _ = _as_target(comm, sendbuf)
+    sbuf, sarr = _as_target(comm, sendbuf)
     acc = np.array(sbuf.view().view(dt), copy=True)
     work = _tmp(comm, len(sbuf))
     tmp = _tmp(comm, len(sbuf))
     work.view()[:] = sbuf.view()
+    _release(sbuf, sarr)
     try:
         vr = (r - root) % p
         mask = 1
@@ -238,9 +248,10 @@ def allreduce(comm, sendbuf, recvbuf, op: Op, dtype=np.float64
               ) -> Generator:
     p, r = comm.size, comm.rank
     dt = np.dtype(dtype)
-    sbuf, _ = _as_target(comm, sendbuf)
+    sbuf, sarr = _as_target(comm, sendbuf)
     acc = np.array(sbuf.view().view(dt), copy=True)
     nbytes = len(sbuf)
+    _release(sbuf, sarr)
     out = _tmp(comm, nbytes)
     inbox = _tmp(comm, nbytes)
     try:
@@ -306,9 +317,10 @@ def allreduce_obj(comm, value: Any, op: Op) -> Generator:
 def gather(comm, sendbuf, recvbuf, root: int = 0) -> Generator:
     """:func:`gatherv` with every rank's count equal to its own send
     buffer's length."""
-    sbuf, _ = _as_target(comm, sendbuf)
+    sbuf, sarr = _as_target(comm, sendbuf)
     yield from gatherv(comm, sbuf, recvbuf, [len(sbuf)] * comm.size,
                        root=root)
+    _release(sbuf, sarr)
     return None
 
 
@@ -342,12 +354,13 @@ def scatter(comm, sendbuf, recvbuf, root: int = 0) -> Generator:
 
 def allgather(comm, sendbuf, recvbuf) -> Generator:
     p, r = comm.size, comm.rank
-    sbuf, _ = _as_target(comm, sendbuf)
+    sbuf, sarr = _as_target(comm, sendbuf)
     n = len(sbuf)
     rbuf, arr = _as_target(comm, recvbuf)
     if len(rbuf) < n * p:
         raise MpiError(f"allgather needs {n * p} bytes, got {len(rbuf)}")
     _local_copy(rbuf.sub(r * n, n), sbuf)
+    _release(sbuf, sarr)
     right = (r + 1) % p
     left = (r - 1) % p
     for step in range(p - 1):
@@ -372,13 +385,14 @@ def allgather_obj(comm, obj: Any) -> Generator:
 
 def alltoall(comm, sendbuf, recvbuf) -> Generator:
     """:func:`alltoallv` with one equal block per peer."""
-    sbuf, _ = _as_target(comm, sendbuf)
+    sbuf, sarr = _as_target(comm, sendbuf)
     rbuf, arr = _as_target(comm, recvbuf)
     p = comm.size
     if len(sbuf) % p or len(rbuf) % p:
         raise MpiError("alltoall buffers must divide evenly by size")
     counts = [len(sbuf) // p] * p
     yield from alltoallv(comm, sbuf, rbuf, counts, counts)
+    _release(sbuf, sarr)
     _writeback(rbuf, arr)
     return None
 
@@ -390,10 +404,11 @@ def alltoall(comm, sendbuf, recvbuf) -> Generator:
 def scan(comm, sendbuf, recvbuf, op: Op, dtype=np.float64) -> Generator:
     p, r = comm.size, comm.rank
     dt = np.dtype(dtype)
-    sbuf, _ = _as_target(comm, sendbuf)
+    sbuf, sarr = _as_target(comm, sendbuf)
     acc = np.array(sbuf.view().view(dt), copy=True)
     inbox = _tmp(comm, len(sbuf))
     out = _tmp(comm, len(sbuf))
+    _release(sbuf, sarr)
     try:
         if r > 0:
             yield from _recv(comm, inbox, r - 1, _COLL_TAG + 11)
@@ -418,13 +433,14 @@ def scan(comm, sendbuf, recvbuf, op: Op, dtype=np.float64) -> Generator:
 def reduce_scatter(comm, sendbuf, recvbuf, op: Op, dtype=np.float64
                    ) -> Generator:
     p = comm.size
-    sbuf, _ = _as_target(comm, sendbuf)
+    sbuf, sarr = _as_target(comm, sendbuf)
     rbuf, arr = _as_target(comm, recvbuf)
     if len(sbuf) != len(rbuf) * p:
         raise MpiError("reduce_scatter: sendbuf must be size*recvbuf")
     full = _tmp(comm, len(sbuf))
     try:
         yield from reduce(comm, sbuf, full, op, 0, dtype)
+        _release(sbuf, sarr)
         yield from scatter(comm, full, rbuf, 0)
         _writeback(rbuf, arr)
     finally:
@@ -461,7 +477,7 @@ def gatherv(comm, sendbuf, recvbuf, counts, displs=None,
     p, r = comm.size, comm.rank
     if len(counts) != p:
         raise MpiError("gatherv: need one count per rank")
-    sbuf, _ = _as_target(comm, sendbuf)
+    sbuf, sarr = _as_target(comm, sendbuf)
     if len(sbuf) != counts[r]:
         raise MpiError(f"gatherv: rank {r} sends {len(sbuf)} bytes but "
                        f"counts[{r}]={counts[r]}")
@@ -481,6 +497,7 @@ def gatherv(comm, sendbuf, recvbuf, counts, displs=None,
         if counts[r]:
             req = yield from _isend(comm, sbuf, root, _COLL_TAG + 12)
             yield from comm.device.wait(req)
+    _release(sbuf, sarr)
     return None
 
 
@@ -494,7 +511,7 @@ def scatterv(comm, sendbuf, recvbuf, counts, displs=None,
         raise MpiError(f"scatterv: rank {r} expects {counts[r]} bytes "
                        f"but the receive buffer has {len(rbuf)}")
     if r == root:
-        sbuf, _ = _as_target(comm, sendbuf)
+        sbuf, sarr = _as_target(comm, sendbuf)
         counts, displs = _check_cd(comm, counts, displs, len(sbuf),
                                    "scatterv")
         reqs = []
@@ -509,6 +526,7 @@ def scatterv(comm, sendbuf, recvbuf, counts, displs=None,
             reqs.append(req)
         for req in reqs:
             yield from comm.device.wait(req)
+        _release(sbuf, sarr)
     else:
         if counts[r]:
             yield from _recv(comm, rbuf, root, _COLL_TAG + 13)
@@ -534,7 +552,7 @@ def alltoallv(comm, sendbuf, recvbuf, send_counts, recv_counts,
               send_displs=None, recv_displs=None) -> Generator:
     """Pairwise exchange with per-peer counts (bytes)."""
     p, r = comm.size, comm.rank
-    sbuf, _ = _as_target(comm, sendbuf)
+    sbuf, sarr = _as_target(comm, sendbuf)
     rbuf, arr = _as_target(comm, recvbuf)
     send_counts, send_displs = _check_cd(comm, send_counts, send_displs,
                                          len(sbuf), "alltoallv(send)")
@@ -559,5 +577,6 @@ def alltoallv(comm, sendbuf, recvbuf, send_counts, recv_counts,
                 src, _COLL_TAG + 14)
         if sreq is not None:
             yield from comm.device.wait(sreq)
+    _release(sbuf, sarr)
     _writeback(rbuf, arr)
     return None

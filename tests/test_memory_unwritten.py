@@ -254,4 +254,4 @@ def test_resident_bytes_of_a_16_rank_world():
                            for r in m._regions.values()
                            if r.data is not None)
     assert (resident, sum(m.allocated_bytes for m in mems)) == (
-        27465884, 63125148)
+        27400348, 63059612)
