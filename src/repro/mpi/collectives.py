@@ -87,10 +87,8 @@ def _local_copy(dst: Buffer, src: Buffer) -> None:
 
 def _as_target(comm, data) -> Tuple[Buffer, Optional[np.ndarray]]:
     """Stage ``data`` for in-place collective use; returns the staged
-    buffer and, if the caller passed an ndarray, the array.  A buffer
-    staged from an array is the collective's own: a receive buffer is
-    copied back and freed by :func:`_writeback`, a send buffer freed
-    by :func:`_release` once its last send has completed."""
+    buffer and, if the caller passed an ndarray, the array, whose staged
+    copy :func:`_writeback` or :func:`_release` frees."""
     if isinstance(data, Buffer):
         return data, None
     if isinstance(data, np.ndarray):
@@ -106,7 +104,8 @@ def _writeback(buf: Buffer, arr: Optional[np.ndarray]) -> None:
 
 
 def _release(buf: Buffer, arr: Optional[np.ndarray]) -> None:
-    """Free ``buf`` if :func:`_as_target` staged it from ``arr``."""
+    """Free ``buf`` if :func:`_as_target` staged it from ``arr`` (a
+    send buffer: once the operation's last send from it completed)."""
     if arr is not None:
         buf.mem.free(buf.addr)
 

@@ -157,17 +157,12 @@ class FluidResource:
 
 
 class Route:
-    """A validated route, digested once for every flow that takes it.
-
-    ``entries`` is the ``(resource, cost_per_byte)`` sequence as given.
-    A flow may cross one resource twice (a local copy through one bus),
-    so the rest sums the costs per resource, in first-appearance order
-    (the order the allocators' weight dicts are built in): ``pairs``
-    as ``(resource, summed_cost)``, ``scan`` as ``(uid, summed_cost,
-    resource)`` triples that unpack without attribute lookups in the
-    solvers' loops, and ``costs`` as ``{uid: summed_cost}``.
-    ``int_costs`` says every cost is an integer, which makes regrouped
-    float sums exact (the vector solver's batched accumulation).
+    """A validated route, digested once for every flow that takes it:
+    the ``(resource, cost_per_byte)`` ``entries``, and the costs summed
+    per resource (a local copy crosses its bus twice) in first-appearance
+    order — the allocators' weight-dict order — as ``pairs``, as
+    ``(uid, cost, resource)`` ``scan`` triples and as ``costs`` by uid.
+    All-integer costs (``int_costs``) make regrouped float sums exact.
     """
 
     __slots__ = ("entries", "pairs", "scan", "costs", "int_costs")
@@ -178,23 +173,15 @@ class Route:
             raise ValueError("route must contain at least one resource")
         costs: Dict[int, float] = {}
         res_of: Dict[int, FluidResource] = {}
-        int_costs = True
         for res, cost in self.entries:
             if not 0 < cost < math.inf:
                 raise ValueError(f"cost_per_byte must be finite, > 0: {cost}")
-            c = float(cost)
-            if not c.is_integer():
-                int_costs = False
-            uid = res.uid
-            if uid in costs:
-                costs[uid] += c
-            else:
-                costs[uid] = c
-                res_of[uid] = res
+            costs[res.uid] = costs.get(res.uid, 0.0) + float(cost)
+            res_of.setdefault(res.uid, res)
         self.costs = costs
         self.pairs = [(res_of[uid], c) for uid, c in costs.items()]
         self.scan = [(uid, c, res_of[uid]) for uid, c in costs.items()]
-        self.int_costs = int_costs
+        self.int_costs = all(float(c).is_integer() for _r, c in self.entries)
 
 
 class Flow:
@@ -254,10 +241,9 @@ class FluidNetwork:
     def transfer(self, nbytes: float,
                  route: Union[Route, Sequence[Tuple[FluidResource, float]]],
                  label: str = "") -> Event:
-        """Start a transfer along ``route`` — a :class:`Route`, or a
-        sequence of ``(resource, cost_per_byte)`` pairs that is wrapped
-        in one; the returned event fires when the last payload byte has
-        moved.  Zero-byte transfers complete at once.
+        """Start a transfer along ``route`` (a :class:`Route`, or the
+        pairs to wrap in one); the returned event fires when the last
+        payload byte has moved.  Zero-byte transfers complete at once.
         """
         if not isinstance(route, Route):
             route = Route(route)
@@ -531,22 +517,15 @@ class FluidNetwork:
         allocator for small components, and the arithmetic
         :meth:`_alloc_vector` is pinned against."""
         if len(active) == 1:
-            # One flow: the fold below reduces to its first step, the
-            # first-within-_EPS minimum of capacity / weight, where the
-            # weight ``(0.0 + c1) + c2`` is the route's summed cost and
-            # the frozen level is ``0.0 + best``.
-            flow = active[0]
+            # The fold's first step in closed form, same floats: its
+            # weight (0.0 + c1) + c2 is the route's summed c1 + c2, its
+            # first candidate is taken (anything finite beats inf by
+            # more than _EPS) and the flow freezes at 0.0 + best.
             best = float("inf")
-            found = False
-            for _uid, w, res in flow.route.scan:
-                if w <= _EPS:
-                    continue
-                delta = res.capacity / w
-                if delta < best - _EPS or (delta < best + _EPS
-                                           and not found):
-                    best = delta
-                    found = True
-            flow.rate = 0.0 + best  # inf if no resource bounds it
+            for _uid, w, res in active[0].route.scan:
+                if w > _EPS and res.capacity / w < best - _EPS:
+                    best = res.capacity / w
+            active[0].rate = 0.0 + best  # inf if no resource bounds it
             return
         # residual capacity and unfixed cost-weight per resource,
         # accumulated per route entry in route order (non-integer

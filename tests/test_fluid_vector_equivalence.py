@@ -347,7 +347,8 @@ def _ncomponents(flows):
             f = stack.pop()
             if f.uid not in seen:
                 seen.add(f.uid)
-                stack.extend(g for res, _c in f.route.entries for g in res.flows)
+                stack.extend(g for _u, _c, res in f.route.scan
+                             for g in res.flows)
     return n
 
 
