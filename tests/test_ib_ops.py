@@ -310,3 +310,18 @@ class TestQpLifecycle:
         qp_c = nc.hca.create_qp(nc.hca.create_cq())
         with pytest.raises(QPError):
             qp_c.connect(qp_a)
+
+
+class TestDmaRoute:
+    def test_one_route_per_remote_node_built_on_first_use(self):
+        """Building a cluster builds no route; the first DMA to a node
+        builds the one every later DMA there reuses."""
+        cluster = build_cluster(3)
+        a, b, c = (node.hca for node in cluster.nodes)
+        assert not any(hca._routes for hca in (a, b, c))
+        route = a.dma_route_to(b)
+        assert a.dma_route_to(b) is route
+        assert a.dma_route_to(c) is not route
+        assert [res for res, _cost in route.entries] == [
+            a.membus.bus, a.pci, cluster.fabric.uplink(0),
+            cluster.fabric.downlink(1), b.pci, b.membus.bus]
